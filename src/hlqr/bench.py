@@ -219,13 +219,13 @@ def _run_hierarchical(config, spec, model, x0):
     plant = _global_model(spec, model, config.mode)
     A_nom, B_nom = _point_mass_agent(1.0, 1.0)
     t0 = time.perf_counter()
+    plan = construct_T(spec.G1, spec.G2)
     last_error: Exception | None = None
     for attempt in range(4):
         depth = 1.0 * 1.5**attempt
         k_agent = derive_initial_gain(
             A_nom, B_nom, seed=config.seed + 1000 * attempt, depth=depth
         )
-        plan = construct_T(spec.G1, spec.G2)
         gains = [matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes]
         rl_config = rl.HierarchicalConfig(
             dt=config.dt,

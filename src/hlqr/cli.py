@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Subcommands: ``decompose``, ``solve``, ``robust``, ``bench``. Exit codes:
-0 success, 2 precondition failure, 3 solver divergence. The environment
-variable ``HLQR_THREADS`` caps cluster-level parallelism.
+0 success, 2 precondition failure, 3 solver divergence.
 
 File formats (all matrices are headerless CSV or ``{"rows","cols","data"}``
 JSON, chosen by extension):
 
 * spec file (JSON): ``{"N","n","m","G1","G2","Q0","R0","A","B"}`` where
-  A/B give the nominal agent model used as the hidden simulation plant
-  in model-free mode.
+  A/B give the nominal agent model: the hidden simulation plant in
+  model-free mode and the cluster plants in model-based mode.
 * model file (JSON): ``{"agents":[{"A":..,"B":..},...],
   "weights":{"G1":..,"G2":..,"Q0":..,"R0":..}}``.
 * gain file (JSON): ``{"K": matrix}``.
@@ -84,21 +83,19 @@ def cmd_decompose(args) -> int:
 def cmd_solve(args) -> int:
     spec, plant = _load_spec_file(args.spec)
     plan = decomp.load_plan(args.plan)
+    if plant is None:
+        raise PreconditionFailed("spec file must carry the agent model A/B")
     t0 = time.perf_counter()
     if args.mode == "model-based":
-        gains = []
-        for i, size in enumerate(plan.cluster_sizes):
-            A = matkit.kron(np.eye(size), plant.A)
-            B = matkit.kron(np.eye(size), plant.B)
-            Qb = matkit.kron(plan.phi_blocks[i], spec.Q0)
-            Rb = matkit.kron(plan.psi_blocks[i], spec.R0)
-            _, K = matkit.solve_are(A, B, Qb, Rb)
-            gains.append(K)
+        problems = decomp.project_problem(spec, plan)
+        plants = rl.cluster_plants(plant, plan, spec)
+        gains = [
+            matkit.solve_are(c.A, c.B, p.Qblock, p.Rblock)[1]
+            for c, p in zip(plants, problems)
+        ]
         K = assemble_gain(plan, gains, spec.n, spec.m)
         stats = []
     else:
-        if plant is None:
-            raise PreconditionFailed("spec file must carry A/B for model-free solving")
         k_agent = bench.derive_initial_gain(plant.A, plant.B, seed=args.seed)
         config = rl.HierarchicalConfig(
             excitation=decomp.ExcitationConfig(seed=args.seed),

@@ -26,6 +26,8 @@ from .errors import (
 DEFAULT_TOL = 1e-8
 ORTH_TOL = 1e-10
 RANK_RTOL = 1e-9
+# Kleinman (Newton) steps solve_are may take to polish its Schur seed.
+NEWTON_STEPS = 8
 
 
 class SymEig(NamedTuple):
@@ -215,42 +217,27 @@ def are_residual(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(A.T @ P + P @ A + Q - BtP.T @ np.linalg.solve(R, BtP)))
 
 
-def _bass_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stabilizing gain via eigenvalue shifting: with beta > max Re(eig(A)),
-    solve (A + beta I) X + X (A + beta I)' = 2 B B' and take K = B' X^-1."""
+def _schur_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Riccati solution P = U21 U11^-1 from the stable invariant subspace
+    [U11; U21] of the Hamiltonian [[A, -B R^-1 B'], [-Q, -A']] (Laub 1979)."""
     n = A.shape[0]
-    beta = 1.0 + float(np.linalg.norm(A))
-    X = sla.solve_continuous_lyapunov(A + beta * np.eye(n), 2.0 * B @ B.T)
-    X = symmetrize(X)
-    K = np.linalg.solve(X, B).T
-    if spectral_abscissa(A - B @ K) >= 0:
-        raise SolverDiverged("eigenvalue-shift seed gain is not stabilizing")
-    return K
+    H = as_matrix(np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]]), "Hamiltonian")
+    _, U, stable = sla.schur(H, output="real", sort="lhp")
+    if stable != n:
+        raise SolverDiverged(f"Hamiltonian has {stable} stable eigenvalues, expected {n}")
+    return symmetrize(np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T)
 
 
-def _kleinman(A, B, Q, R, K0, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Policy iteration for the continuous ARE from a stabilizing gain."""
-    K = K0
-    P_prev = None
-    for _ in range(max_iter):
-        P = solve_lyapunov(A - B @ K, symmetrize(Q + K.T @ R @ K))
-        K = np.linalg.solve(R, B.T @ P)
-        if P_prev is not None:
-            diff = float(np.linalg.norm(P - P_prev))
-            if diff <= 1e-12 * max(1.0, float(np.linalg.norm(P))):
-                return P, K
-        P_prev = P
-    return P_prev, K
-
-
-def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL, max_iter: int = 60):
+def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
     """Solve the continuous algebraic Riccati equation.
 
     Returns (P, K) with P symmetric positive definite, K = R^-1 B' P and
-    A - BK Hurwitz. Primary method is Kleinman policy iteration seeded by
-    an eigenvalue-shift stabilizing gain; falls back to the Schur solver
-    if the iteration does not meet the residual bound
+    A - BK Hurwitz, meeting the residual bound
     ||A'P + PA + Q - P B R^-1 B' P||_F <= tol * ||P||_F * max(1, ||A||_F)^2.
+    P is taken from the stable Schur subspace of the Hamiltonian (Laub
+    1979); while the bound is missed, up to ``NEWTON_STEPS`` Kleinman
+    (Newton) steps polish it. A non-stabilizing gain, a bound still missed
+    after those steps, or a numerical breakdown raises ``SolverDiverged``.
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
@@ -267,24 +254,22 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL, max_iter: int = 60):
     if obsv_rank(C, A) < n:
         raise PreconditionFailed("(Q^1/2, A) is not observable")
 
-    def bound(P):
-        return tol * float(np.linalg.norm(P)) * max(1.0, float(np.linalg.norm(A))) ** 2
-
+    a_scale = max(1.0, float(np.linalg.norm(A))) ** 2
     try:
-        P, K = _kleinman(A, B, Q, R, _bass_gain(A, B), max_iter)
-        if (
-            P is not None
-            and are_residual(A, B, Q, R, P) <= bound(P)
-            and spectral_abscissa(A - B @ K) < 0
-        ):
-            return symmetrize(P), K
-    except (SolverDiverged, NotHurwitz, np.linalg.LinAlgError):
-        pass
-    P = symmetrize(sla.solve_continuous_are(A, B, Q, R))
-    K = np.linalg.solve(R, B.T @ P)
-    if are_residual(A, B, Q, R, P) <= bound(P) and spectral_abscissa(A - B @ K) < 0:
-        return P, K
-    raise SolverDiverged("Riccati residual bound not met by any method")
+        P = _schur_riccati(A, B, Q, R)
+        K = np.linalg.solve(R, B.T @ P)
+        for step in range(NEWTON_STEPS + 1):
+            if spectral_abscissa(A - B @ K) >= 0:
+                raise SolverDiverged("Riccati gain does not stabilize A - BK")
+            if are_residual(A, B, Q, R, P) <= tol * float(np.linalg.norm(P)) * a_scale:
+                return P, K
+            if step == NEWTON_STEPS:
+                break
+            P = solve_lyapunov(A - B @ K, symmetrize(Q + K.T @ R @ K))
+            K = np.linalg.solve(R, B.T @ P)
+    except np.linalg.LinAlgError as exc:
+        raise SolverDiverged(f"Riccati solve broke down: {exc}") from exc
+    raise SolverDiverged(f"Riccati residual bound missed after {NEWTON_STEPS} Newton steps")
 
 
 # ---------------------------------------------------------------------------

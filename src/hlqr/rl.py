@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -391,7 +390,6 @@ class HierarchicalConfig:
     max_iter: int = 50
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
     initial_gains: Sequence[np.ndarray] | None = None
-    max_workers: int | None = None      # None: HLQR_THREADS env var, else 1
     budget_s: float | None = None
     probe_dt: float = 1e-2
     probe_horizon: float = 1.0
@@ -465,11 +463,11 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
                        config: HierarchicalConfig | None = None):
     """Run the full hierarchical model-free pipeline.
 
-    Projects the problem onto the plan's clusters, then independently per
-    cluster (optionally in parallel): verifies the supplied initial gain
-    with an empirical decay probe, collects a trajectory batch, and runs
-    off-policy policy iteration. The global gain is reassembled through
-    the plan's transformation. Cluster errors are re-raised as
+    Projects the problem onto the plan's clusters, then per cluster, in
+    index order: verifies the supplied initial gain with an empirical decay
+    probe, collects a trajectory batch, and runs off-policy policy
+    iteration. The global gain is reassembled through the plan's
+    transformation. The first cluster error is re-raised as
     ``ClusterFailure`` tagged with the cluster index, keeping stats of the
     clusters that did finish.
 
@@ -516,31 +514,12 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
         wall_ms = 1e3 * (time.perf_counter() - t0)
         return kappa, P, ClusterStats(i, plan.cluster_sizes[i], len(history), residual, wall_ms)
 
-    workers = config.max_workers
-    if workers is None:
-        workers = int(os.environ.get("HLQR_THREADS", "1"))
-    workers = max(1, min(workers, plan.r))
-    results: list = [None] * plan.r
-    failure: ClusterFailure | None = None
-    if workers == 1:
-        for i in range(plan.r):
-            try:
-                results[i] = solve_one(i)
-            except Exception as exc:  # noqa: BLE001 - tagged and re-raised below
-                failure = ClusterFailure(i, exc)
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(solve_one, i): i for i in range(plan.r)}
-            for fut, i in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    if failure is None:
-                        failure = ClusterFailure(i, exc)
-    if failure is not None:
-        failure.partial_stats = [r[2] for r in results if r is not None]
-        raise failure from failure.cause
+    results = []
+    for i in range(plan.r):
+        try:
+            results.append(solve_one(i))
+        except Exception as exc:  # noqa: BLE001 - tagged and re-raised
+            raise ClusterFailure(i, exc, [r[2] for r in results]) from exc
     gains = [r[0] for r in results]
     stats = [r[2] for r in results]
     K = assemble_gain(plan, gains, spec.n, spec.m)

@@ -164,7 +164,7 @@ def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec):
     return Atilde, Btilde, Ahat_cl, Phat, K
 
 
-def lmi_stability_check(a_tilde, b_tilde, p_hat, Q, R, b_global, b_hat):
+def lmi_stability_check(a_tilde, b_tilde, p_hat, Q, R, b_hat):
     """Sufficient LMI stability test for the heterogeneous closed loop:
 
         P At + At' P - P Bt R^-1 Bh' P - P Bh R^-1 Bt' P - Q
@@ -174,11 +174,8 @@ def lmi_stability_check(a_tilde, b_tilde, p_hat, Q, R, b_global, b_hat):
     matrix. The left side is exactly the derivative matrix of the
     Lyapunov candidate x' P x along the true closed loop (the Riccati
     identity supplies the last two terms), so a pass certifies stability
-    with no false positives; failures are inconclusive. ``b_global`` is
-    accepted alongside ``b_hat`` for interface completeness but the
-    certificate is algebraically exact only with the transformed input
-    matrix. Returns (max eigenvalue of the symmetrized left side, pass
-    flag).
+    with no false positives; failures are inconclusive. Returns (max
+    eigenvalue of the symmetrized left side, pass flag).
     """
     P = matkit.require_square(p_hat, "p_hat")
 
@@ -393,9 +390,7 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
     deployed = k_are if gain is None else matkit.as_matrix(gain, "gain")
     gain_gap = float(np.linalg.norm(deployed - k_are))
 
-    lmi_max, lmi_pass = lmi_stability_check(
-        Atilde, Btilde, p_hat, spec.Q, spec.R, model.B, Bhat
-    )
+    lmi_max, lmi_pass = lmi_stability_check(Atilde, Btilde, p_hat, spec.Q, spec.R, Bhat)
     verdicts: dict = {"lmi": bool(lmi_pass)}
     lhs = rhs = None
     try:

@@ -292,8 +292,7 @@ def test_criterion_6_robustness_soundness():
         stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
         Tn, Tm = kron_lift(plan.T, n), kron_lift(plan.T, m)
         Bhat = Tn.T @ model.B @ Tm
-        _, lmi_ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R,
-                                        model.B, Bhat)
+        _, lmi_ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
         if lmi_ok:
             lmi_pass += 1
             if not stable:

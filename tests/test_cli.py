@@ -76,6 +76,35 @@ def test_decompose_solve_roundtrip(toy_files):
     assert np.linalg.norm(K_mf - K_mb) / np.linalg.norm(K_mb) <= 1e-2
 
 
+def _drop_agent_model(spec_obj):
+    del spec_obj["A"], spec_obj["B"]
+
+
+def _unverifiable_g1(spec_obj):
+    # the plan diagonalizes the fixture's G1; this G1 is not block-diagonal in it
+    spec_obj["G1"] = matkit.matrix_to_json(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("edit", [_drop_agent_model, _unverifiable_g1])
+@pytest.mark.parametrize("mode", ["model-based", "model-free"])
+def test_solve_rejects_spec_with_exit_2(toy_files, mode, edit):
+    tmp = toy_files[0]
+    rc = cli.main([
+        "decompose", "--g1", str(tmp / "g1.csv"), "--g2", str(tmp / "g2.json"),
+        "--out", str(tmp / "plan.json"),
+    ])
+    assert rc == 0
+    spec_obj = json.loads((tmp / "spec.json").read_text())
+    edit(spec_obj)
+    (tmp / "spec.json").write_text(json.dumps(spec_obj))
+    rc = cli.main([
+        "solve", "--spec", str(tmp / "spec.json"), "--plan", str(tmp / "plan.json"),
+        "--mode", mode, "--out", str(tmp / "gain.json"),
+    ])
+    assert rc == 2
+    assert not (tmp / "gain.json").exists()
+
+
 def test_robust_command(toy_files):
     tmp, spec, model, x0 = toy_files
     cli.main([

@@ -200,10 +200,34 @@ class TestSolveAre:
         with pytest.raises(PreconditionFailed):
             matkit.solve_are([[0.0]], [[1.0]], [[1.0]], [[-1.0]])
 
+    def test_rejects_overflowing_hamiltonian(self):
+        # B R^-1 B' overflows to inf for a subnormal R
+        with pytest.raises(PreconditionFailed):
+            matkit.solve_are([[1.0]], [[1.0]], [[1.0]], [[1e-310]])
+
     def test_rejects_unobservable(self):
         # Q = 0 sees nothing of an uncontrolled-by-cost state
         with pytest.raises(PreconditionFailed):
             matkit.solve_are([[0.0]], [[1.0]], [[0.0]], [[1.0]])
+
+    def test_stiff_instance_polished_to_the_bound(self):
+        # the Schur solution alone misses the residual bound here (by ~17x)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 1))
+        Q, R = 1e4 * np.eye(3), 1e-4 * np.eye(1)
+        P, K = matkit.solve_are(A, B, Q, R)
+        bound = 1e-8 * np.linalg.norm(P) * max(1.0, np.linalg.norm(A)) ** 2
+        assert matkit.are_residual(A, B, Q, R, P) <= bound
+        assert matkit.spectral_abscissa(A - B @ K) < 0
+
+    def test_schur_failure_raises_solver_diverged(self, monkeypatch):
+        def broken_schur(*args, **kwargs):
+            raise np.linalg.LinAlgError("schur did not converge")
+
+        monkeypatch.setattr(matkit.sla, "schur", broken_schur)
+        with pytest.raises(SolverDiverged):
+            matkit.solve_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
 
 
 class TestRankHelpers:

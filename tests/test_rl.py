@@ -332,32 +332,13 @@ class TestHierarchicalSolve:
         assert isinstance(info.value.cause, K0NotStabilizing)
         assert len(info.value.partial_stats) == 1
 
-    def test_deterministic_and_parallel_consistent(self):
-        spec = two_agent_spec()
-        plan = construct_T(spec.G1, spec.G2)
-
-        def run(workers):
-            config = HierarchicalConfig(
-                initial_gains=[np.array([[1.5]])] * plan.r,
-                max_workers=workers,
-            )
-            return hierarchical_solve(spec, plan, SCALAR_PLANT, config)
-
-        K1, _ = run(1)
-        K1b, _ = run(1)
-        K4, _ = run(4)
-        np.testing.assert_array_equal(K1, K1b)
-        np.testing.assert_array_equal(K1, K4)
-
-    def test_thread_cap_env_var(self, monkeypatch):
+    def test_deterministic(self):
         spec = two_agent_spec()
         plan = construct_T(spec.G1, spec.G2)
         config = HierarchicalConfig(initial_gains=[np.array([[1.5]])] * plan.r)
-        monkeypatch.setenv("HLQR_THREADS", "3")
-        K_env, _ = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
-        monkeypatch.delenv("HLQR_THREADS")
-        K_serial, _ = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
-        np.testing.assert_array_equal(K_env, K_serial)
+        K1, _ = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        K2, _ = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        np.testing.assert_array_equal(K1, K2)
 
     def test_cost_decomposes_over_clusters(self, rng):
         # global cost of the learned policy equals the sum of the

@@ -94,7 +94,7 @@ class TestLmiCheck:
         model = HeteroModel([np.array([[-1.0]])] * 2, [np.eye(1)] * 2)
         At, Bt, _, p_hat, _ = hetero_lift(model, plan, spec)
         Bhat = _bhat(model, plan)
-        max_eig, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, model.B, Bhat)
+        max_eig, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
         assert ok and max_eig < 0
 
     def test_small_mismatch_passes_and_is_truly_stable(self):
@@ -103,7 +103,7 @@ class TestLmiCheck:
         model = scalar_pair_model()
         At, Bt, _, p_hat, K = hetero_lift(model, plan, spec)
         Bhat = _bhat(model, plan)
-        _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, model.B, Bhat)
+        _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
         assert ok
         assert matkit.spectral_abscissa(model.A - model.B @ K) < 0
 
@@ -123,7 +123,7 @@ class TestLmiCheck:
             except (PreconditionFailed, NotHurwitz):
                 continue
             Bhat = _bhat(model, plan)
-            _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, model.B, Bhat)
+            _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
             stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
             if not stable:
                 saw_unstable = True
@@ -286,7 +286,7 @@ class TestSoundness:
                 continue
             stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
             _, lmi_ok = lmi_stability_check(
-                At, Bt, p_hat, spec.Q, spec.R, model.B, _bhat(model, plan)
+                At, Bt, p_hat, spec.Q, spec.R, _bhat(model, plan)
             )
             if lmi_ok:
                 lmi_passes += 1
