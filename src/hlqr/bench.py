@@ -14,6 +14,7 @@ import scipy.signal
 
 from . import matkit, rl
 from .decomp import (
+    WINDOW_FACTOR,
     ClusterProblem,
     DecompositionPlan,
     ExcitationConfig,
@@ -44,9 +45,6 @@ class BenchConfig:
     mode: str = "homogeneous"
     solvers: tuple[str, ...] = ("model-based", "hierarchical-rl")
     timeout_s: float = 300.0
-    dt: float = 1e-3
-    sample_interval: float = 0.1
-    window_factor: int = 2
     out: str | None = None
 
     def __post_init__(self):
@@ -228,9 +226,6 @@ def _run_hierarchical(config, spec, model, x0):
         )
         gains = [matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes]
         rl_config = rl.HierarchicalConfig(
-            dt=config.dt,
-            sample_interval=config.sample_interval,
-            window_factor=config.window_factor,
             excitation=ExcitationConfig(seed=config.seed),
             initial_gains=gains,
         )
@@ -263,12 +258,11 @@ def _run_global_rl(config, spec, model, x0):
         Rblock=spec.R,
         initial_gain=K0,
         excitation=ExcitationConfig(seed=config.seed),
-        sample_interval=config.sample_interval,
-        window_count=config.window_factor * unknown_count(nN, mN),
+        window_count=WINDOW_FACTOR * unknown_count(nN, mN),
     )
     deadline = time.monotonic() + config.timeout_s
     try:
-        batch = rl.collect_batch(plant, problem, x0, config.dt, deadline)
+        batch = rl.collect_batch(plant, problem, x0, deadline=deadline)
         K, _, history = rl.offpolicy_pi(batch, problem, plant=plant, deadline=deadline)
     except BudgetExceeded as exc:
         wall = 1e3 * (time.perf_counter() - t0)

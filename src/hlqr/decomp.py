@@ -26,6 +26,8 @@ from .errors import (
 # Inner products of unit eigenvectors above PAIRING_SCALE * N count as links
 # when matching the two eigenbases.
 PAIRING_SCALE = 1e-8
+# Each cluster problem records WINDOW_FACTOR windows per regression unknown.
+WINDOW_FACTOR = 2
 
 
 @dataclass(eq=False)
@@ -310,8 +312,9 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     to be contiguous, and T = E1 E2' E1. With repeated eigenvalues a
     commuting pair falls back to a common eigenbasis (complete
     decomposition); a non-commuting pair is unsupported. If no split
-    with r > 1 exists the trivial single-cluster plan is returned with
-    ``decomposable=False``.
+    with r > 1 exists, or the split misses the tolerances of
+    :func:`verify_plan` that :func:`project_problem` enforces, the trivial
+    single-cluster plan is returned with ``decomposable=False``.
     """
     G1 = matkit.require_square(G1, "G1")
     G2 = matkit.require_square(G2, "G2")
@@ -362,6 +365,10 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
         psi_blocks=_extract_blocks(T @ G2 @ T.T, sizes),
         decomposable=len(sizes) > 1,
     )
+    # links below the pairing threshold are dropped, so nearly aligned
+    # eigenbases can yield blocks that leave too much weight off-diagonal
+    if not verify_plan(plan, G1, G2).passed:
+        return _trivial_plan(G1, G2)
     return plan
 
 
@@ -389,13 +396,11 @@ def project_problem(
     spec: LqrSpec,
     plan: DecompositionPlan,
     excitation: ExcitationConfig | None = None,
-    sample_interval: float = 0.1,
-    window_factor: int = 2,
 ) -> list[ClusterProblem]:
     """Split the structured problem into its cluster problems.
 
     Cluster i gets weights Qblock = phi_i (x) Q0 and Rblock = psi_i (x) R0,
-    a window count of ``window_factor`` times its regression unknown count,
+    a window count of ``WINDOW_FACTOR`` times its regression unknown count,
     and an excitation seeded per cluster. The plan must verify against the
     spec's weights.
     """
@@ -413,8 +418,7 @@ def project_problem(
                 Qblock=matkit.kron(plan.phi_blocks[i], spec.Q0),
                 Rblock=matkit.kron(plan.psi_blocks[i], spec.R0),
                 excitation=exc,
-                sample_interval=sample_interval,
-                window_count=window_factor * unknown_count(nc, mc),
+                window_count=WINDOW_FACTOR * unknown_count(nc, mc),
             )
         )
     return problems

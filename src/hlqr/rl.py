@@ -5,6 +5,10 @@ collected under a stabilizing behavior policy plus exploration noise,
 and each cluster gain is learned by off-policy integral policy
 iteration on the recorded windows. The learner never reads plant
 matrices; cluster plants are exposed to it as simulation targets only.
+
+The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
+L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
+step of 1e-2.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .lqr import AgentModel, assemble_gain
 
 STATE_BLOWUP_NORM = 1e12
 REGRESSION_COND_LIMIT = 1e10
+PI_TOL = 1e-8
+PI_MAX_ITER = 50
 
 
 class Trajectory(NamedTuple):
@@ -104,7 +110,7 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     derivative callable f(x, u). The exploration signal is sampled on the
     half-step grid so each integrator stage sees e at its own time.
     Deterministic for a given excitation seed. Raises ``NonFinite`` if the
-    state norm exceeds 1e12.
+    state turns NaN or inf or its norm exceeds 1e12.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
@@ -120,41 +126,31 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     E = _excitation_samples(excitation, m, stage_times)
 
     dyn = _as_dynamics(plant, dim, m)
-    X = np.empty((steps + 1, dim))
-    U = np.empty((steps + 1, m))
-    X[0] = x
-    U[0] = E[0] - K @ x
-    half = 0.5 * dt
     if isinstance(dyn, tuple):
         A, B = dyn
         Acl = A - B @ K
-        for k in range(steps):
-            e0, e1, e2 = E[2 * k], E[2 * k + 1], E[2 * k + 2]
-            k1 = Acl @ x + B @ e0
-            k2 = Acl @ (x + half * k1) + B @ e1
-            k3 = Acl @ (x + half * k2) + B @ e1
-            k4 = Acl @ (x + dt * k3) + B @ e2
-            x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > STATE_BLOWUP_NORM:
-                raise NonFinite(f"state blew up at step {k + 1}")
-            X[k + 1] = x
-            U[k + 1] = E[2 * k + 2] - K @ x
+
+        def g(x, e):
+            return Acl @ x + B @ e
     else:
-        f = dyn
-        for k in range(steps):
-            e0, e1, e2 = E[2 * k], E[2 * k + 1], E[2 * k + 2]
-            k1 = np.asarray(f(x, e0 - K @ x), dtype=float).ravel()
-            x1 = x + half * k1
-            k2 = np.asarray(f(x1, e1 - K @ x1), dtype=float).ravel()
-            x2 = x + half * k2
-            k3 = np.asarray(f(x2, e1 - K @ x2), dtype=float).ravel()
-            x3 = x + dt * k3
-            k4 = np.asarray(f(x3, e2 - K @ x3), dtype=float).ravel()
-            x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > STATE_BLOWUP_NORM:
-                raise NonFinite(f"state blew up at step {k + 1}")
-            X[k + 1] = x
-            U[k + 1] = E[2 * k + 2] - K @ x
+        def g(x, e):
+            return np.asarray(dyn(x, e - K @ x), dtype=float).ravel()
+
+    X = np.empty((steps + 1, dim))
+    X[0] = x
+    half = 0.5 * dt
+    for k in range(steps):
+        e0, e1, e2 = E[2 * k], E[2 * k + 1], E[2 * k + 2]
+        k1 = g(x, e0)
+        k2 = g(x + half * k1, e1)
+        k3 = g(x + half * k2, e1)
+        k4 = g(x + dt * k3, e2)
+        x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        # false for NaN, for inf and for a norm above the blow-up bound
+        if not x @ x <= STATE_BLOWUP_NORM**2:
+            raise NonFinite(f"state blew up at step {k + 1}")
+        X[k + 1] = x
+    U = E[::2] - X @ K.T
     t = t0 + dt * np.arange(steps + 1)
     return Trajectory(t, X, U)
 
@@ -192,8 +188,6 @@ class TrajectoryBatch:
     x_end: np.ndarray    # (L, n)
     ixx: np.ndarray      # (L, n, n), integral of outer(x, x) over each window
     ixu: np.ndarray      # (L, n, m), integral of outer(x, u) over each window
-    dt: float
-    sample_interval: float
     rank: int
     rank_ok: bool
 
@@ -295,7 +289,7 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
             f"regression rank {rank} below unknown count {q}; "
             "increase windows, amplitude, or component count"
         )
-    return TrajectoryBatch(x_start, x_end, ixx, ixu, dt, delta, rank, rank == q)
+    return TrajectoryBatch(x_start, x_end, ixx, ixu, rank, rank == q)
 
 
 def _phi(X: np.ndarray) -> np.ndarray:
@@ -313,9 +307,7 @@ def _unpack_p(sol: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem,
-                 tol: float = 1e-8, max_iter: int = 50, *, plant=None,
-                 probe_dt: float = 1e-2, probe_horizon: float = 1.0,
+def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
                  deadline: float | None = None):
     """Off-policy integral policy iteration on a recorded batch.
 
@@ -327,8 +319,9 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem,
 
     which is the integral form of the Kleinman step, so the iteration
     inherits its convergence to the Riccati solution from a stabilizing
-    start. Stops when ||P_k - P_(k-1)||_F <= tol, or when the difference
-    stagnates at the round-off floor 1e-12 * ||P_k||_F.
+    start. Stops when ||P_k - P_(k-1)||_F <= ``PI_TOL``, or when the
+    difference stagnates at the round-off floor 1e-12 * ||P_k||_F; more
+    than ``PI_MAX_ITER`` iterations raise ``MaxIterExceeded``.
 
     Returns (kappa, P, history) where history lists the (P, K) iterates.
     When ``plant`` is given the final gain is checked by an empirical
@@ -348,7 +341,7 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem,
     history: list[tuple[np.ndarray, np.ndarray]] = []
     P_prev = None
     residual = np.inf
-    for it in range(max_iter):
+    for it in range(PI_MAX_ITER):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"budget passed during iteration {it}")
         cross = R @ (ixu_t + K @ batch.ixx)          # (L, m, n)
@@ -365,14 +358,14 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem,
         history.append((P, K))
         if P_prev is not None:
             residual = float(np.linalg.norm(P - P_prev))
-            if residual <= max(tol, 1e-12 * float(np.linalg.norm(P))):
+            if residual <= max(PI_TOL, 1e-12 * float(np.linalg.norm(P))):
                 break
         P_prev = P
     else:
-        raise MaxIterExceeded(f"no convergence within {max_iter} iterations")
+        raise MaxIterExceeded(f"no convergence within {PI_MAX_ITER} iterations")
 
     if plant is not None:
-        if empirical_abscissa(plant, K, n, probe_dt, probe_horizon) >= 0:
+        if empirical_abscissa(plant, K, n) >= 0:
             raise NotStabilizing("learned gain failed the empirical decay probe")
     elif float(np.min(np.linalg.eigvalsh(matkit.symmetrize(P)))) <= 0:
         raise NotStabilizing("learned value matrix is not positive definite")
@@ -381,18 +374,11 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem,
 
 @dataclass(eq=False)
 class HierarchicalConfig:
-    """Defaults for the hierarchical model-free solve."""
+    """Exploration signal and per-cluster initial gains of the
+    hierarchical model-free solve."""
 
-    dt: float = 1e-3
-    sample_interval: float = 0.1
-    window_factor: int = 2
-    tol: float = 1e-8
-    max_iter: int = 50
     excitation: ExcitationConfig = field(default_factory=ExcitationConfig)
     initial_gains: Sequence[np.ndarray] | None = None
-    budget_s: float | None = None
-    probe_dt: float = 1e-2
-    probe_horizon: float = 1.0
 
 
 @dataclass
@@ -474,13 +460,7 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
     config = config or HierarchicalConfig()
-    problems = project_problem(
-        spec,
-        plan,
-        excitation=config.excitation,
-        sample_interval=config.sample_interval,
-        window_factor=config.window_factor,
-    )
+    problems = project_problem(spec, plan, excitation=config.excitation)
     if config.initial_gains is None:
         raise PreconditionFailed("per-cluster initial gains are required")
     if len(config.initial_gains) != plan.r:
@@ -490,38 +470,25 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     for problem, gain in zip(problems, config.initial_gains):
         problem.initial_gain = matkit.as_matrix(gain, "initial gain")
     plants = cluster_plants(plant_access, plan, spec)
-    deadline = None if config.budget_s is None else time.monotonic() + config.budget_s
-
-    def solve_one(i: int):
+    gains, stats = [], []
+    for i, (problem, plant) in enumerate(zip(problems, plants)):
         t0 = time.perf_counter()
-        problem, plant = problems[i], plants[i]
         nc = problem.state_dim
-        if empirical_abscissa(plant, problem.initial_gain, nc,
-                              config.probe_dt, config.probe_horizon) >= 0:
-            raise K0NotStabilizing(f"initial gain for cluster {i} is not stabilizing")
-        x0 = np.full(nc, 1.0 / np.sqrt(nc))
-        batch = collect_batch(plant, problem, x0, config.dt, deadline)
-        kappa, P, history = offpolicy_pi(
-            batch, problem, config.tol, config.max_iter, plant=plant,
-            probe_dt=config.probe_dt, probe_horizon=config.probe_horizon,
-            deadline=deadline,
-        )
+        try:
+            if empirical_abscissa(plant, problem.initial_gain, nc) >= 0:
+                raise K0NotStabilizing(f"initial gain for cluster {i} is not stabilizing")
+            batch = collect_batch(plant, problem, np.full(nc, 1.0 / np.sqrt(nc)))
+            kappa, _, history = offpolicy_pi(batch, problem, plant=plant)
+        except Exception as exc:  # noqa: BLE001 - tagged and re-raised
+            raise ClusterFailure(i, exc, stats) from exc
         residual = (
             float(np.linalg.norm(history[-1][0] - history[-2][0]))
             if len(history) > 1
             else 0.0
         )
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        return kappa, P, ClusterStats(i, plan.cluster_sizes[i], len(history), residual, wall_ms)
-
-    results = []
-    for i in range(plan.r):
-        try:
-            results.append(solve_one(i))
-        except Exception as exc:  # noqa: BLE001 - tagged and re-raised
-            raise ClusterFailure(i, exc, [r[2] for r in results]) from exc
-    gains = [r[0] for r in results]
-    stats = [r[2] for r in results]
+        gains.append(kappa)
+        stats.append(ClusterStats(i, plan.cluster_sizes[i], len(history), residual, wall_ms))
     K = assemble_gain(plan, gains, spec.n, spec.m)
     return K, stats
 

@@ -164,6 +164,17 @@ class TestConstructT:
         assert plan.r == 4
         assert verify_plan(plan, G1, G2).passed
 
+    def test_nearly_aligned_eigenbases_give_verified_plan(self):
+        # a 1.9e-8 rotation puts the Gram link under PAIRING_SCALE * N, so a
+        # split into two clusters would leave 2.7e-8 of G1 off the blocks
+        theta = 1.9e-8
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        G1 = np.diag([1.0, 2.0])
+        G2 = matkit.symmetrize(rot @ G1 @ rot.T)
+        plan = construct_T(G1, G2)
+        assert verify_plan(plan, G1, G2).passed
+        assert plan.r == 1 and not plan.decomposable
+
     def test_cluster_rows_span_invariant_subspaces(self):
         # each cluster's rows of T span a subspace invariant under both
         # weight matrices
@@ -266,6 +277,30 @@ class TestPlanProperties:
 
         block_eigs = np.sort(np.linalg.eigvalsh(sla.block_diag(*plan.phi_blocks)))
         np.testing.assert_allclose(block_eigs, np.linalg.eigvalsh(G1), atol=1e-8)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**31), N=st.integers(2, 5),
+           log_gap=st.floats(-10.0, 0.0), log_angle=st.floats(-10.0, -6.0))
+    def test_near_repeated_noncommuting_spectra(self, seed, N, log_gap, log_angle):
+        # G1 has one eigenvalue pair 10^log_gap apart; the eigenbasis of G2
+        # is G1's turned by about 10^log_angle, so the pair does not commute.
+        # The result is a plan that verifies or NotSupported.
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        skew = rng.standard_normal((N, N))
+        basis2 = basis @ sla.expm(10.0**log_angle * (skew - skew.T))
+        gaps = rng.uniform(0.5, 1.5, N - 1)
+        gaps[rng.integers(N - 1)] = 10.0**log_gap
+        spectrum = np.concatenate([[1.0], 1.0 + np.cumsum(gaps)])
+        G1 = matkit.symmetrize(basis @ np.diag(spectrum) @ basis.T)
+        G2 = matkit.symmetrize(basis2 @ np.diag(rng.uniform(1.0, 3.0, N)) @ basis2.T)
+        try:
+            plan = construct_T(G1, G2)
+        except NotSupported:
+            return
+        assert verify_plan(plan, G1, G2).passed
 
     def test_plan_json_roundtrip(self, rng, tmp_path):
         G1 = 0.5 * np.eye(4) + random_laplacian(rng, 4)

@@ -68,8 +68,16 @@ class TestSimulate:
         traj = simulate(plant, K, None, x0, 1e-3, 10.0)
         assert np.linalg.norm(traj.x[-1]) < 1e-2 * np.linalg.norm(x0)
 
-    def test_blowup_raises(self):
-        plant = AgentModel(np.array([[5.0]]), np.zeros((1, 1)))
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            AgentModel(np.array([[5.0]]), np.zeros((1, 1))),  # norm passes 1e12
+            lambda x, u: np.full_like(x, np.nan),
+            lambda x, u: np.full_like(x, np.inf),
+        ],
+        ids=["matrix-growth", "callable-nan", "callable-inf"],
+    )
+    def test_blowup_raises(self, plant):
         with pytest.raises(NonFinite):
             simulate(plant, np.zeros((1, 1)), None, [1.0], 1e-2, 10.0)
 
@@ -83,6 +91,10 @@ class TestSimulate:
         gen = simulate(lambda x, u: A @ x + B @ u, K, exc, x0, 1e-3, 1.0)
         np.testing.assert_allclose(gen.x, lin.x, atol=1e-12)
         np.testing.assert_allclose(gen.u, lin.u, atol=1e-12)
+        # inputs are the excitation at the step times minus the feedback
+        E = rl.ExcitationSignal(exc, 1).sample(0.5e-3 * np.arange(2001))
+        for traj in (lin, gen):
+            np.testing.assert_array_equal(traj.u, E[::2] - traj.x @ K.T)
 
     def test_deterministic_given_seed(self):
         plant = AgentModel(np.array([[-0.5]]), np.eye(1))
@@ -291,11 +303,11 @@ class TestHierarchicalSolve:
         problem = ClusterProblem(
             state_dim=2, input_dim=2, Qblock=spec.Q, Rblock=spec.R,
             initial_gain=K0, excitation=config.excitation,
-            sample_interval=config.sample_interval,
+            sample_interval=0.1,
             window_count=2 * ClusterProblem(2, 2, spec.Q, spec.R).q,
         )
         plant = AgentModel(calA, calB)
-        batch = collect_batch(plant, problem, np.full(2, 1.0 / np.sqrt(2)), config.dt)
+        batch = collect_batch(plant, problem, np.full(2, 1.0 / np.sqrt(2)), 1e-3)
         K_direct, _, _ = offpolicy_pi(batch, problem, plant=plant)
         np.testing.assert_allclose(K, K_direct, atol=1e-12)
 
@@ -358,7 +370,7 @@ class TestHierarchicalSolve:
         for i, p in enumerate(problems):
             p.initial_gain = config.initial_gains[i]
             batch = collect_batch(AgentModel(np.zeros((1, 1)), np.eye(1)), p,
-                                  np.ones(1), config.dt)
+                                  np.ones(1), 1e-3)
             _, P, _ = offpolicy_pi(batch, p)
             values.append(P)
         calA, calB = np.zeros((N, N)), np.eye(N)
