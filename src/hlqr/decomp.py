@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.csgraph import connected_components
 
 from . import matkit
 from .errors import (
@@ -216,22 +217,6 @@ def _all_gaps_above(values: np.ndarray, threshold: float) -> bool:
     return bool(np.min(np.diff(values)) > threshold)
 
 
-class _Dsu:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 def _paired_groups(gram: np.ndarray, threshold: float):
     """Transitively closed eigenvector matching from one N x N Gram matrix.
 
@@ -241,20 +226,18 @@ def _paired_groups(gram: np.ndarray, threshold: float):
     smallest row index, or None when any group is unbalanced.
     """
     N = gram.shape[0]
-    dsu = _Dsu(2 * N)
-    rows, cols = np.nonzero(np.abs(gram) > threshold)
-    for i, j in zip(rows, cols):
-        dsu.union(int(i), N + int(j))
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for node in range(2 * N):
-        root = dsu.find(node)
-        p, q = members.setdefault(root, ([], []))
-        (p if node < N else q).append(node if node < N else node - N)
-    groups = sorted(members.values(), key=lambda pq: min(pq[0]) if pq[0] else N)
-    for p, q in groups:
-        if len(p) != len(q) or not p:
-            return None
-    return [p for p, _ in groups], [q for _, q in groups]
+    links = np.abs(gram) > threshold
+    zero = np.zeros_like(links)
+    count, labels = connected_components(np.block([[zero, links], [links.T, zero]]),
+                                         directed=False)
+    p_labels, q_labels = labels[:N], labels[N:]
+    if not np.array_equal(np.bincount(p_labels, minlength=count),
+                          np.bincount(q_labels, minlength=count)):
+        return None
+    # labels are numbered from the smallest node, so groups come ordered
+    # by their smallest row index
+    return ([np.flatnonzero(p_labels == c).tolist() for c in range(count)],
+            [np.flatnonzero(q_labels == c).tolist() for c in range(count)])
 
 
 def _common_eigenbasis_rows(G1, G2, tol: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -96,25 +97,10 @@ def support_partition(M, tol: float = 1e-9) -> list[list[int]]:
     sorted 0-based index groups, ordered by smallest member.
     """
     A = require_square(M, "M")
-    N = A.shape[0]
     adj = (np.abs(A) + np.abs(A.T)) > tol
     np.fill_diagonal(adj, False)
-    seen = np.zeros(N, dtype=bool)
-    groups: list[list[int]] = []
-    for start in range(N):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.flatnonzero(adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        groups.append(sorted(comp))
-    return groups
+    count, labels = connected_components(adj, directed=False)
+    return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
 def solve_lyapunov(A, W, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -77,6 +77,7 @@ class TestSimulate:
         ],
         ids=["matrix-growth", "callable-nan", "callable-inf"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_raises(self, plant):
         with pytest.raises(NonFinite):
             simulate(plant, np.zeros((1, 1)), None, [1.0], 1e-2, 10.0)

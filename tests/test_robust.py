@@ -273,6 +273,39 @@ class TestPerformanceBound:
         assert pb.actual_j2 == pytest.approx(0.0, abs=1e-12)
         assert pb.bound >= 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_middle_factor_matches_frequency_sweep(self, seed):
+        # ||G_ey W||_inf recovered from the bound against a direct sweep of
+        # sigma_max(G_ey (I - G_sigma G_eu)^-1) built from the transfer
+        # functions; a sign or block error in the realization moves it
+        rng = np.random.default_rng(seed)
+        N, n = 3, 2
+        G1 = 0.5 * np.eye(N) + random_laplacian(rng, N)
+        spec = LqrSpec(N, n, 1, G1, np.eye(N), np.eye(n), np.eye(1))
+        plan = construct_T(G1, np.eye(N))
+        A0, B0 = random_stable(rng, n), rng.standard_normal((n, 1))
+        model = HeteroModel([A0 + 0.1 * rng.standard_normal((n, n)) for _ in range(N)],
+                            [B0 + 0.1 * rng.standard_normal((n, 1)) for _ in range(N)])
+        x0 = rng.standard_normal(n * N)
+        At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
+        pb = performance_bound(model, K, plan, spec, x0)
+        mismatch_out = At - Bt @ K
+        x0col = x0.reshape(-1, 1)
+        du_inf = hinf_norm(LtiSystem(a_hat, x0col, -K))
+        free_h2 = h2_norm(LtiSystem(model.A, x0col, mismatch_out))
+        middle = (pb.bound - pb.j2_bar) / (pb.epsilon * du_inf + free_h2)
+
+        omega = np.concatenate([[0.0], np.logspace(-3, 3, 20001)])
+        jw = 1j * omega[:, None, None] * np.eye(n * N)
+        res_hat = np.linalg.inv(jw - a_hat)
+        Cy = np.vstack([matkit.sqrtm_psd(spec.Q), -matkit.sqrtm_psd(spec.R) @ K])
+        g_eu = -K @ res_hat
+        g_ey = Cy @ res_hat
+        g_sigma = mismatch_out @ np.linalg.solve(jw - model.A, model.B)
+        W = np.linalg.inv(np.eye(n * N) - g_sigma @ g_eu)
+        sweep = np.linalg.svd(g_ey @ W, compute_uv=False)[:, 0].max()
+        assert middle == pytest.approx(sweep, rel=1e-5)
+
 
 class TestSoundness:
     def test_no_false_positives_and_bound_valid(self, rng):
