@@ -129,23 +129,6 @@ def numerical_rank(M, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def ctrb(A, B) -> np.ndarray:
-    """Controllability matrix [B, AB, ..., A^(n-1) B]."""
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    if B.shape[0] != A.shape[0]:
-        raise DimensionMismatch(f"A is {A.shape}, B is {B.shape}")
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
-def obsv(C, A) -> np.ndarray:
-    """Observability matrix [C; CA; ...; CA^(n-1)]."""
-    return ctrb(as_matrix(A, "A").T, as_matrix(C, "C").T).T
-
-
 def ctrb_rank(A, B, rtol: float = RANK_RTOL) -> int:
     """Numerical rank of the Krylov stack [B, AB, A^2 B, ...].
 

@@ -6,6 +6,12 @@ and each cluster gain is learned by off-policy integral policy
 iteration on the recorded windows. The learner never reads plant
 matrices; cluster plants are exposed to it as simulation targets only.
 
+The recorded data do not depend on a cluster's weights, so learning costs
+one K0 probe and one batch per distinct (cluster plant, K0) pair, not one
+per cluster: with identical agents and equal initial gains, every cluster
+of a given size learns from the same batch. Each cluster still runs its
+own regression and its own final decay probe.
+
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
 step of 1e-2.
@@ -107,18 +113,25 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     u = -K x + e(t).
 
     ``plant`` is either an object with A/B matrices or a black-box
-    derivative callable f(x, u). The exploration signal is sampled on the
-    half-step grid so each integrator stage sees e at its own time.
-    Deterministic for a given excitation seed. Raises ``NonFinite`` if the
-    state turns NaN or inf or its norm exceeds 1e12.
+    derivative callable f(x, u), which is applied to one state at a time.
+    ``x0`` is one initial state, or a (k, dim) stack of them rolled out
+    together under the same excitation; ``x`` and ``u`` of the trajectory
+    then carry the row axis second, shaped (steps + 1, k, dim) and
+    (steps + 1, k, m). The exploration signal is sampled on the half-step
+    grid so each integrator stage sees e at its own time. Deterministic
+    for a given excitation seed. Raises ``NonFinite`` if any state turns
+    NaN or inf or its norm exceeds 1e12.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
     if horizon < dt:
         raise PreconditionFailed("horizon must be at least one step")
     K = matkit.as_matrix(policy, "policy")
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    dim, m = x.size, K.shape[0]
+    x = np.asarray(x0, dtype=float)
+    stacked = x.ndim == 2
+    if not stacked:
+        x = x.reshape(1, -1)
+    dim, m = x.shape[1], K.shape[0]
     if K.shape[1] != dim:
         raise DimensionMismatch(f"policy is {K.shape}, state dim is {dim}")
     steps = int(round(horizon / dt))
@@ -128,19 +141,22 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     dyn = _as_dynamics(plant, dim, m)
     if isinstance(dyn, tuple):
         A, B = dyn
-        Acl = A - B @ K
+        Acl_t, B_t = (A - B @ K).T, B.T
 
         def g(x, e):
-            return Acl @ x + B @ e
+            return x @ Acl_t + e @ B_t
     else:
         def g(x, e):
-            return np.asarray(dyn(x, e - K @ x), dtype=float).ravel()
+            u = e - x @ K.T
+            return np.stack([np.asarray(dyn(xi, ui), dtype=float).ravel()
+                             for xi, ui in zip(x, u)])
 
-    X = np.empty((steps + 1, dim))
+    X = np.empty((steps + 1,) + x.shape)
     X[0] = x
     half = 0.5 * dt
+    bound = STATE_BLOWUP_NORM**2
     # a stage state that turns inf makes NaN in g; the step check raises
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for k in range(steps):
             e0, e1, e2 = E[2 * k], E[2 * k + 1], E[2 * k + 2]
             k1 = g(x, e0)
@@ -148,11 +164,15 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
             k3 = g(x + half * k2, e1)
             k4 = g(x + dt * k3, e2)
             x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            # false for NaN, for inf and for a norm above the blow-up bound
-            if not x @ x <= STATE_BLOWUP_NORM**2:
+            # false for NaN, for inf and for a norm above the blow-up bound;
+            # the whole stack's squared norm bounds each row's, so rows are
+            # checked one by one only when it fails
+            if not (np.vdot(x, x) <= bound or np.max(np.einsum("ij,ij->i", x, x)) <= bound):
                 raise NonFinite(f"state blew up at step {k + 1}")
             X[k + 1] = x
-    U = E[::2] - X @ K.T
+    if not stacked:
+        X = X[:, 0]
+    U = (E[::2, None] if stacked else E[::2]) - X @ K.T
     t = t0 + dt * np.arange(steps + 1)
     return Trajectory(t, X, U)
 
@@ -161,20 +181,15 @@ def empirical_abscissa(plant, gain, dim: int, dt: float = 1e-2,
                        horizon: float = 1.0) -> float:
     """Closed-loop spectral abscissa estimated from black-box rollouts.
 
-    Integrates each unit initial condition under u = -K x and
-    eigen-analyzes the resulting one-horizon transition matrix; never
-    reads plant matrices directly.
+    Integrates all unit initial conditions under u = -K x in one stacked
+    rollout and eigen-analyzes the resulting one-horizon transition
+    matrix; never reads plant matrices directly.
     """
-    cols = []
-    for j in range(dim):
-        x0 = np.zeros(dim)
-        x0[j] = 1.0
-        try:
-            traj = simulate(plant, gain, None, x0, dt, horizon)
-        except NonFinite:
-            return np.inf
-        cols.append(traj.x[-1])
-    M = np.column_stack(cols)
+    try:
+        traj = simulate(plant, gain, None, np.eye(dim), dt, horizon)
+    except NonFinite:
+        return np.inf
+    M = traj.x[-1].T
     rho = float(np.max(np.abs(np.linalg.eigvals(M))))
     if rho <= 0.0:
         return -np.inf
@@ -294,18 +309,18 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     return TrajectoryBatch(x_start, x_end, ixx, ixu, rank, rank == q)
 
 
-def _phi(X: np.ndarray) -> np.ndarray:
-    """Distinct quadratic monomials x_i x_j (i <= j) for each row of X."""
-    iu, ju = np.triu_indices(X.shape[1])
+def _phi(X: np.ndarray, tri) -> np.ndarray:
+    """Distinct quadratic monomials x_i x_j (i <= j, ``tri`` the upper
+    triangle's index pairs) for each row of X."""
+    iu, ju = tri
     return X[:, iu] * X[:, ju]
 
 
-def _unpack_p(sol: np.ndarray, n: int) -> np.ndarray:
+def _unpack_p(sol: np.ndarray, tri, n: int) -> np.ndarray:
     """Recover symmetric P from the monomial coefficients (off-diagonal
     coefficients carry the factor 2)."""
     P = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
-    P[iu, ju] = sol
+    P[tri] = sol
     return 0.5 * (P + P.T)
 
 
@@ -337,7 +352,9 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
     if cluster.initial_gain is None:
         raise PreconditionFailed("cluster has no initial gain")
     K = matkit.as_matrix(cluster.initial_gain, "initial gain")
-    phi_diff = _phi(batch.x_end) - _phi(batch.x_start)
+    tri = np.triu_indices(n)
+    d1 = tri[0].size
+    phi_diff = _phi(batch.x_end, tri) - _phi(batch.x_start, tri)
     L = batch.window_count
     ixu_t = batch.ixu.transpose(0, 2, 1)
     history: list[tuple[np.ndarray, np.ndarray]] = []
@@ -354,8 +371,7 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
             raise RegressionSingular(
                 f"regression condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.3e}"
             )
-        d1 = n * (n + 1) // 2
-        P = _unpack_p(sol[:d1], n)
+        P = _unpack_p(sol[:d1], tri, n)
         K = sol[d1:].reshape(m, n)
         history.append((P, K))
         if P_prev is not None:
@@ -374,6 +390,16 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
     return K, P, history
 
 
+class _BatchGroup(NamedTuple):
+    """Clusters sharing one plant object and one initial gain, learned from
+    the probe and batch of the first of them."""
+
+    plant: object
+    gain: np.ndarray
+    batch: TrajectoryBatch
+    first: int
+
+
 @dataclass(eq=False)
 class HierarchicalConfig:
     """Exploration signal and per-cluster initial gains of the
@@ -385,11 +411,17 @@ class HierarchicalConfig:
 
 @dataclass
 class ClusterStats:
+    """Per-cluster outcome. ``batch_of`` is the index of the cluster whose
+    K0 probe and batch this cluster learned from (its own when it
+    collected); the shared collection's time is in that cluster's
+    ``wall_ms``."""
+
     index: int
     size: int
     iters: int
     residual: float
     wall_ms: float
+    batch_of: int
 
 
 def _embedded_cluster(f_global, plan: DecompositionPlan, spec: LqrSpec, i: int):
@@ -421,7 +453,8 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
 
     For a global model the cluster plant is the corresponding diagonal
     block of the transformed dynamics (exact for homogeneous plants, the
-    block-diagonal approximation otherwise).
+    block-diagonal approximation otherwise). For an agent model, clusters
+    of equal size share one plant object, I_s (x) (A, B).
     """
     n, m, N = spec.n, spec.m, spec.N
     if callable(plant) and not hasattr(plant, "A"):
@@ -429,10 +462,11 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
     A = matkit.require_square(plant.A, "plant.A")
     B = matkit.as_matrix(plant.B, "plant.B")
     if A.shape == (n, n) and B.shape == (n, m):
-        return [
-            AgentModel(matkit.kron(np.eye(s), A), matkit.kron(np.eye(s), B))
-            for s in plan.cluster_sizes
-        ]
+        by_size = {
+            s: AgentModel(matkit.kron(np.eye(s), A), matkit.kron(np.eye(s), B))
+            for s in set(plan.cluster_sizes)
+        }
+        return [by_size[s] for s in plan.cluster_sizes]
     if A.shape == (n * N, n * N) and B.shape == (n * N, m * N):
         Tn = kron_lift(plan.T, n)
         Tm = kron_lift(plan.T, m)
@@ -454,10 +488,19 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     Projects the problem onto the plan's clusters, then per cluster, in
     index order: verifies the supplied initial gain with an empirical decay
     probe, collects a trajectory batch, and runs off-policy policy
-    iteration. The global gain is reassembled through the plan's
-    transformation. The first cluster error is re-raised as
-    ``ClusterFailure`` tagged with the cluster index, keeping stats of the
-    clusters that did finish.
+    iteration with the cluster's own weights and a final decay probe.
+
+    The recorded data do not depend on a cluster's weights, so a cluster
+    whose plant is the same object as an earlier cluster's and whose
+    initial gain is equal to that cluster's reuses its probe and batch
+    (collected under the earlier cluster's excitation seed). Only
+    identical clusters of an agent model share a plant object (see
+    ``cluster_plants``); grouping never reads plant matrices.
+
+    The global gain is reassembled through the plan's transformation. The
+    first cluster error is re-raised as ``ClusterFailure`` tagged with the
+    cluster index, keeping stats of the clusters that did finish; a failed
+    shared probe or batch is tagged with the first cluster of its group.
 
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
@@ -472,15 +515,22 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     for problem, gain in zip(problems, config.initial_gains):
         problem.initial_gain = matkit.as_matrix(gain, "initial gain")
     plants = cluster_plants(plant_access, plan, spec)
+    groups: list[_BatchGroup] = []
     gains, stats = [], []
     for i, (problem, plant) in enumerate(zip(problems, plants)):
         t0 = time.perf_counter()
-        nc = problem.state_dim
+        nc, K0 = problem.state_dim, problem.initial_gain
+        group = next(
+            (g for g in groups if g.plant is plant and np.array_equal(g.gain, K0)), None
+        )
         try:
-            if empirical_abscissa(plant, problem.initial_gain, nc) >= 0:
-                raise K0NotStabilizing(f"initial gain for cluster {i} is not stabilizing")
-            batch = collect_batch(plant, problem, np.full(nc, 1.0 / np.sqrt(nc)))
-            kappa, _, history = offpolicy_pi(batch, problem, plant=plant)
+            if group is None:
+                if empirical_abscissa(plant, K0, nc) >= 0:
+                    raise K0NotStabilizing(f"initial gain for cluster {i} is not stabilizing")
+                batch = collect_batch(plant, problem, np.full(nc, 1.0 / np.sqrt(nc)))
+                group = _BatchGroup(plant, K0, batch, i)
+                groups.append(group)
+            kappa, _, history = offpolicy_pi(group.batch, problem, plant=plant)
         except Exception as exc:  # noqa: BLE001 - tagged and re-raised
             raise ClusterFailure(i, exc, stats) from exc
         residual = (
@@ -490,7 +540,8 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
         )
         wall_ms = 1e3 * (time.perf_counter() - t0)
         gains.append(kappa)
-        stats.append(ClusterStats(i, plan.cluster_sizes[i], len(history), residual, wall_ms))
+        stats.append(ClusterStats(i, plan.cluster_sizes[i], len(history), residual,
+                                  wall_ms, group.first))
     K = assemble_gain(plan, gains, spec.n, spec.m)
     return K, stats
 
@@ -505,6 +556,7 @@ def result_to_json(K: np.ndarray, stats: Sequence[ClusterStats],
                 "iters": s.iters,
                 "residual": s.residual,
                 "wallMs": s.wall_ms,
+                "batchOf": s.batch_of,
             }
             for s in stats
         ],

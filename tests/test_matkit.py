@@ -237,7 +237,8 @@ class TestRankHelpers:
             m = int(rng.integers(1, 3))
             A = rng.standard_normal((n, n))
             B = rng.standard_normal((n, m))
-            assert matkit.ctrb_rank(A, B) == matkit.numerical_rank(matkit.ctrb(A, B))
+            stack = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+            assert matkit.ctrb_rank(A, B) == matkit.numerical_rank(stack)
 
     def test_ctrb_rank_survives_large_systems(self):
         # powers of the raw stack overflow here; the scaled test must not

@@ -113,6 +113,31 @@ class TestSimulate:
         expected = 0.5 * (np.exp(-t) + np.sin(t) - np.cos(t))
         assert np.max(np.abs(traj.x[:, 0] - expected)) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["matrix", "callable"])
+    def test_stacked_rows_match_single_rollouts(self, kind, rng):
+        A = np.array([[0.0, 1.0], [-2.0, -1.0]])
+        B = np.array([[0.0], [1.0]])
+        K = np.array([[0.5, 0.5]])
+        plant = AgentModel(A, B) if kind == "matrix" else (lambda x, u: A @ x + B @ u)
+        exc = ExcitationConfig(seed=3)
+        X0 = rng.standard_normal((3, 2))
+        stacked = simulate(plant, K, exc, X0, 1e-3, 0.5)
+        assert stacked.x.shape == (501, 3, 2) and stacked.u.shape == (501, 3, 1)
+        for j, x0 in enumerate(X0):
+            row = simulate(plant, K, exc, x0, 1e-3, 0.5)
+            scale = np.max(np.abs(row.x))
+            assert np.max(np.abs(stacked.x[:, j] - row.x)) <= 1e-13 * scale
+            assert np.max(np.abs(stacked.u[:, j] - row.u)) <= 1e-13 * np.max(np.abs(row.u))
+        again = simulate(plant, K, exc, X0, 1e-3, 0.5)
+        np.testing.assert_array_equal(again.x, stacked.x)
+        np.testing.assert_array_equal(again.u, stacked.u)
+
+    def test_one_diverging_row_raises(self):
+        # the second row of a diagonal plant grows past 1e12, the first decays
+        plant = AgentModel(np.diag([-1.0, 5.0]), np.zeros((2, 1)))
+        with pytest.raises(NonFinite):
+            simulate(plant, np.zeros((1, 2)), None, np.eye(2), 1e-2, 10.0)
+
     def test_rejects_bad_steps(self):
         with pytest.raises(PreconditionFailed):
             simulate(SCALAR_PLANT, np.eye(1), None, [1.0], -1e-3, 1.0)
@@ -131,6 +156,16 @@ class TestEmpiricalAbscissa:
         est = empirical_abscissa(plant, K, 2)
         true = matkit.spectral_abscissa(plant.A - plant.B @ K)
         assert abs(est - true) < 1e-3
+
+    @pytest.mark.parametrize("kind", ["matrix", "callable"])
+    def test_matches_per_column_rollouts(self, kind):
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -0.5]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        K = np.array([[0.3, 0.8, 0.4]])
+        plant = AgentModel(A, B) if kind == "matrix" else (lambda x, u: A @ x + B @ u)
+        cols = [simulate(plant, K, None, e, 1e-2, 1.0).x[-1] for e in np.eye(3)]
+        rho = np.max(np.abs(np.linalg.eigvals(np.column_stack(cols))))
+        assert abs(empirical_abscissa(plant, K, 3) - np.log(rho)) <= 1e-12
 
 
 class TestCollectBatch:
@@ -271,6 +306,23 @@ class TestOffPolicyPi:
             offpolicy_pi(batch, problem)
 
 
+def count_batches(monkeypatch):
+    """Count collect_batch calls made by hierarchical_solve."""
+    calls = []
+
+    def counted(plant, problem, *args, **kwargs):
+        calls.append(problem)
+        return collect_batch(plant, problem, *args, **kwargs)
+
+    monkeypatch.setattr(rl, "collect_batch", counted)
+    return calls
+
+
+def formation_spec(rng, N):
+    G1 = 0.5 * np.eye(N) + random_laplacian(rng, N)
+    return LqrSpec(N, 1, 1, G1, np.eye(N), np.eye(1), np.eye(1))
+
+
 def two_agent_spec():
     G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     return LqrSpec(2, 1, 1, G1, np.eye(2), np.eye(1), np.eye(1))
@@ -388,7 +440,7 @@ class TestHierarchicalSolve:
         K, stats = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
         obj = rl.result_to_json(K, stats, 12.5)
         assert set(obj) == {"K", "perCluster", "totalWallMs"}
-        assert set(obj["perCluster"][0]) == {"size", "iters", "residual", "wallMs"}
+        assert set(obj["perCluster"][0]) == {"size", "iters", "residual", "wallMs", "batchOf"}
 
     def test_hetero_plant_uses_block_diagonal_slice(self, rng):
         # the cluster plants for a global plant are the diagonal blocks of
@@ -405,3 +457,84 @@ class TestHierarchicalSolve:
         Axi = Tn @ model.A @ Tn.T
         for i, plant in enumerate(plants):
             np.testing.assert_allclose(plant.A, Axi[i : i + 1, i : i + 1], atol=1e-14)
+
+    def test_identical_clusters_share_one_batch(self, rng, monkeypatch):
+        # G2 = I: five size-1 clusters with one plant object and equal K0
+        N = 5
+        spec = formation_spec(rng, N)
+        plan = construct_T(spec.G1, spec.G2)
+        assert plan.r == N
+        config = HierarchicalConfig(initial_gains=[np.array([[2.0]])] * plan.r)
+        calls = count_batches(monkeypatch)
+        K, stats = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        assert len(calls) == 1
+        assert [s.batch_of for s in stats] == [0] * N
+
+        # per-cluster learning, each cluster on its own batch and seed
+        from hlqr.decomp import project_problem
+        from hlqr.lqr import assemble_gain
+
+        gains = []
+        for p in project_problem(spec, plan, excitation=config.excitation):
+            p.initial_gain = np.array([[2.0]])
+            batch = collect_batch(SCALAR_PLANT, p, np.ones(1), 1e-3)
+            gains.append(offpolicy_pi(batch, p, plant=SCALAR_PLANT)[0])
+        K_each = assemble_gain(plan, gains, 1, 1)
+        assert np.linalg.norm(K - K_each) <= 1e-2 * np.linalg.norm(K_each)
+        calA, calB = np.zeros((N, N)), np.eye(N)
+        x0 = rng.standard_normal(N)
+        J = evaluate_cost(calA - calB @ K, spec.Q + K.T @ spec.R @ K, x0)
+        J_each = evaluate_cost(calA - calB @ K_each, spec.Q + K_each.T @ spec.R @ K_each, x0)
+        assert abs(J - J_each) <= 1e-3 * abs(J_each)
+
+    def test_hetero_slices_never_group(self, rng, monkeypatch):
+        from hlqr.robust import HeteroModel
+
+        N = 4
+        spec = formation_spec(rng, N)
+        plan = construct_T(spec.G1, spec.G2)
+        model = HeteroModel([np.zeros((1, 1))] * N, [np.eye(1)] * N)
+        config = HierarchicalConfig(initial_gains=[np.array([[2.0]])] * plan.r)
+        calls = count_batches(monkeypatch)
+        _, stats = hierarchical_solve(spec, plan, model, config)
+        assert len(calls) == plan.r
+        assert [s.batch_of for s in stats] == list(range(plan.r))
+
+    def test_unequal_initial_gains_not_grouped(self, monkeypatch):
+        spec = two_agent_spec()
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(
+            initial_gains=[np.array([[1.5]]), np.array([[1.5 + 1e-12]])],
+        )
+        calls = count_batches(monkeypatch)
+        _, stats = hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        assert len(calls) == 2
+        assert [s.batch_of for s in stats] == [0, 1]
+
+    def test_failed_shared_probe_names_first_cluster(self, rng):
+        # zero gain on x' = u is marginal: clusters 1 and 2 share one K0
+        # probe, which fails at cluster 1 after cluster 0 has finished
+        spec = formation_spec(rng, 3)
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(
+            initial_gains=[np.array([[1.5]]), np.array([[0.0]]), np.array([[0.0]])],
+        )
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        assert info.value.cluster_index == 1
+        assert isinstance(info.value.cause, K0NotStabilizing)
+        assert [st.index for st in info.value.partial_stats] == [0]
+
+    def test_failed_shared_batch_names_first_cluster(self, monkeypatch):
+        spec = two_agent_spec()
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(
+            excitation=ExcitationConfig(amplitude=0.0),
+            initial_gains=[np.array([[1.5]])] * plan.r,
+        )
+        calls = count_batches(monkeypatch)
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        assert info.value.cluster_index == 0
+        assert isinstance(info.value.cause, ExcitationDeficient)
+        assert len(calls) == 1
