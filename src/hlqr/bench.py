@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from . import matkit, rl
 from .decomp import (
@@ -179,6 +178,10 @@ def derive_initial_gain(A, B, seed: int, perturbation: float = 0.1,
     """Stabilizing gain by pole placement on a deliberately perturbed copy
     of the model; the perturbed copy is discarded afterwards so learning
     stays model-free."""
+    # Imported here, not at module level: scipy.signal takes about a second
+    # to import, and no other hlqr command places poles.
+    import scipy.signal
+
     A = matkit.require_square(A, "A")
     B = matkit.as_matrix(B, "B")
     rng = np.random.default_rng(seed)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hlqr
 from hlqr import cli, matkit
 from hlqr.bench import build_example, BenchConfig
 from hlqr.errors import (
@@ -152,3 +157,15 @@ def test_exit_code_mapping():
     assert cli.exit_code_for(SolverDiverged("x")) == 3
     assert cli.exit_code_for(RegressionSingular("x")) == 3
     assert cli.exit_code_for(ValueError("x")) == 1
+
+
+def test_cli_import_skips_scipy_signal():
+    # only pole placement needs scipy.signal, which is slow to import; a
+    # fresh interpreter shows whether importing the CLI pulls it in
+    src = str(Path(hlqr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, hlqr.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

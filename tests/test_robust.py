@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hlqr import matkit
+from hlqr import matkit, robust
 from hlqr.decomp import LqrSpec, construct_T, kron_lift
-from hlqr.errors import NonzeroFeedthrough, NotHurwitz, PreconditionFailed
+from hlqr.errors import NonzeroFeedthrough, NotHurwitz, PreconditionFailed, SolverDiverged
 from hlqr.robust import (
     HeteroModel,
     LtiSystem,
@@ -138,6 +138,48 @@ def _bhat(model, plan):
     return Tn.T @ model.B @ Tm
 
 
+def lightly_damped():
+    """1/(s^2 + 0.1 s + 1) and the maximum of a dense sweep of its gain."""
+    A = np.array([[0.0, 1.0], [-1.0, -0.1]])
+    sys = LtiSystem(A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
+    # oracle: dense frequency sweep of |C (jw I - A)^-1 B|
+    omegas = np.logspace(-3, 3, 1_000_000)
+    denom = (1.0 - omegas**2) + 1j * 0.1 * omegas
+    return sys, np.max(np.abs(1.0 / denom))
+
+
+def middle_factor_case(seed):
+    """N=3, n=2 heterogeneous loop of the H2 bound: its model, spec, plan,
+    x0, mismatch output At - Bt K, transformed closed loop, gain and cost
+    output Cy."""
+    rng = np.random.default_rng(seed)
+    N, n = 3, 2
+    G1 = 0.5 * np.eye(N) + random_laplacian(rng, N)
+    spec = LqrSpec(N, n, 1, G1, np.eye(N), np.eye(n), np.eye(1))
+    plan = construct_T(G1, np.eye(N))
+    A0, B0 = random_stable(rng, n), rng.standard_normal((n, 1))
+    model = HeteroModel([A0 + 0.1 * rng.standard_normal((n, n)) for _ in range(N)],
+                        [B0 + 0.1 * rng.standard_normal((n, 1)) for _ in range(N)])
+    x0 = rng.standard_normal(n * N)
+    At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
+    Cy = np.vstack([matkit.sqrtm_psd(spec.Q), -matkit.sqrtm_psd(spec.R) @ K])
+    return model, spec, plan, x0, At - Bt @ K, a_hat, K, Cy
+
+
+def g_ey_w_sigma(case, omega):
+    """sigma_max(G_ey (I - G_sigma G_eu)^-1) at each frequency, built from
+    the transfer functions rather than a realization."""
+    model, _, _, _, mismatch_out, a_hat, K, Cy = case
+    nx = a_hat.shape[0]
+    jw = 1j * omega[:, None, None] * np.eye(nx)
+    res_hat = np.linalg.inv(jw - a_hat)
+    g_eu = -K @ res_hat
+    g_ey = Cy @ res_hat
+    g_sigma = mismatch_out @ np.linalg.solve(jw - model.A, model.B)
+    W = np.linalg.inv(np.eye(nx) - g_sigma @ g_eu)
+    return np.linalg.svd(g_ey @ W, compute_uv=False)[:, 0]
+
+
 class TestHinfNorm:
     def test_first_order_lag(self):
         sys = LtiSystem(np.array([[-1.0]]), np.eye(1), np.eye(1))
@@ -148,14 +190,69 @@ class TestHinfNorm:
         assert hinf_norm(sys) == pytest.approx(0.5, abs=1e-6)
 
     def test_lightly_damped_peak_matches_sweep(self):
-        A = np.array([[0.0, 1.0], [-1.0, -0.1]])
-        sys = LtiSystem(A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
+        sys, sweep = lightly_damped()
         val = hinf_norm(sys, tol=1e-8)
-        # oracle: dense frequency sweep of |C (jw I - A)^-1 B|
-        omegas = np.logspace(-3, 3, 1_000_000)
-        denom = (1.0 - omegas**2) + 1j * 0.1 * omegas
-        sweep = np.max(np.abs(1.0 / denom))
         assert val == pytest.approx(sweep, rel=1e-6)
+
+    def test_lightly_damped_upper_bound(self):
+        # the result is the certified upper end: never below any sampled
+        # gain, and above the peak by less than tol
+        sys, sweep = lightly_damped()
+        tol = 1e-8
+        assert sweep <= hinf_norm(sys, tol=tol) <= sweep * (1 + tol)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_middle_factor_realization_upper_bound(self, seed):
+        # the 2nN-state G_ey W realization of performance_bound against a
+        # transfer-function sweep refined around its maximum
+        case = middle_factor_case(seed)
+        model, _, _, _, mismatch_out, a_hat, K, Cy = case
+        nx = a_hat.shape[0]
+        g_ey_w = LtiSystem(
+            np.block([[a_hat, mismatch_out], [-model.B @ K, model.A]]),
+            np.vstack([np.eye(nx), np.zeros((nx, nx))]),
+            np.hstack([Cy, np.zeros((Cy.shape[0], nx))]),
+        )
+        omega = np.concatenate([[0.0], np.logspace(-3, 3, 20001)])
+        coarse = g_ey_w_sigma(case, omega)
+        k = int(np.argmax(coarse))
+        fine = np.linspace(omega[max(k - 1, 0)], omega[min(k + 1, omega.size - 1)], 2001)
+        sweep = max(coarse[k], g_ey_w_sigma(case, fine).max())
+        tol = 1e-6
+        assert sweep <= hinf_norm(g_ey_w, tol=tol) <= sweep * (1 + tol)
+
+    @pytest.mark.parametrize(
+        "c, d, norm",
+        [(1.0, 1.0, 2.0), (-1.0, 2.0, 2.0), (-0.5, 1.0, 1.0)],
+        ids=["1+1/(s+1)-peak-at-dc", "2-1/(s+1)-sup-at-infinity", "1-0.5/(s+1)"],
+    )
+    def test_feedthrough(self, c, d, norm):
+        sys = LtiSystem(np.array([[-1.0]]), np.eye(1), np.array([[c]]), np.array([[d]]))
+        tol = 1e-6
+        assert norm <= hinf_norm(sys, tol=tol) <= norm * (1 + tol)
+
+    @pytest.mark.parametrize("zeta", [1e-6, 1e-7])
+    def test_sharp_peak_stays_upper_bound(self, zeta):
+        # w0^2 / (s^2 + 2 zeta w0 s + w0^2) at w0 = 100: at levels just
+        # above the peak the Hamiltonian's eigenvalues stay within the axis
+        # tolerance, which must widen the margin, not end the iteration
+        w0 = 100.0
+        A = np.array([[0.0, 1.0], [-w0**2, -2 * zeta * w0]])
+        sys = LtiSystem(A, np.array([[0.0], [1.0]]), np.array([[w0**2, 0.0]]))
+        peak = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
+        assert peak <= hinf_norm(sys) <= 1.01 * peak
+
+    def test_crossing_frequencies(self):
+        # |1/(jw + 1)| = 1/2 at w = sqrt(3); the peak 1 sits at w = 0
+        sys = LtiSystem(np.array([[-1.0]]), np.eye(1), np.eye(1))
+        np.testing.assert_allclose(robust._axis_crossings(sys, 0.5), [np.sqrt(3.0)], rtol=1e-10)
+        assert robust._axis_crossings(sys, 1.01).size == 0
+
+    def test_uncertified_iteration_raises(self, monkeypatch):
+        # a crossing test that never clears must end in a typed failure
+        monkeypatch.setattr(robust, "_axis_crossings", lambda sys, gamma: np.array([0.5, 2.0]))
+        with pytest.raises(SolverDiverged):
+            hinf_norm(LtiSystem(np.array([[-1.0]]), np.eye(1), np.eye(1)))
 
     def test_dominates_grid(self, rng):
         for _ in range(5):
@@ -278,32 +375,16 @@ class TestPerformanceBound:
         # ||G_ey W||_inf recovered from the bound against a direct sweep of
         # sigma_max(G_ey (I - G_sigma G_eu)^-1) built from the transfer
         # functions; a sign or block error in the realization moves it
-        rng = np.random.default_rng(seed)
-        N, n = 3, 2
-        G1 = 0.5 * np.eye(N) + random_laplacian(rng, N)
-        spec = LqrSpec(N, n, 1, G1, np.eye(N), np.eye(n), np.eye(1))
-        plan = construct_T(G1, np.eye(N))
-        A0, B0 = random_stable(rng, n), rng.standard_normal((n, 1))
-        model = HeteroModel([A0 + 0.1 * rng.standard_normal((n, n)) for _ in range(N)],
-                            [B0 + 0.1 * rng.standard_normal((n, 1)) for _ in range(N)])
-        x0 = rng.standard_normal(n * N)
-        At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
+        case = middle_factor_case(seed)
+        model, spec, plan, x0, mismatch_out, a_hat, K, _ = case
         pb = performance_bound(model, K, plan, spec, x0)
-        mismatch_out = At - Bt @ K
         x0col = x0.reshape(-1, 1)
         du_inf = hinf_norm(LtiSystem(a_hat, x0col, -K))
         free_h2 = h2_norm(LtiSystem(model.A, x0col, mismatch_out))
         middle = (pb.bound - pb.j2_bar) / (pb.epsilon * du_inf + free_h2)
 
         omega = np.concatenate([[0.0], np.logspace(-3, 3, 20001)])
-        jw = 1j * omega[:, None, None] * np.eye(n * N)
-        res_hat = np.linalg.inv(jw - a_hat)
-        Cy = np.vstack([matkit.sqrtm_psd(spec.Q), -matkit.sqrtm_psd(spec.R) @ K])
-        g_eu = -K @ res_hat
-        g_ey = Cy @ res_hat
-        g_sigma = mismatch_out @ np.linalg.solve(jw - model.A, model.B)
-        W = np.linalg.inv(np.eye(n * N) - g_sigma @ g_eu)
-        sweep = np.linalg.svd(g_ey @ W, compute_uv=False)[:, 0].max()
+        sweep = g_ey_w_sigma(case, omega).max()
         assert middle == pytest.approx(sweep, rel=1e-5)
 
 
