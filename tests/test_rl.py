@@ -16,6 +16,7 @@ from hlqr.decomp import (
 from hlqr.errors import (
     BudgetExceeded,
     ClusterFailure,
+    DimensionMismatch,
     ExcitationDeficient,
     K0NotStabilizing,
     NonFinite,
@@ -48,6 +49,17 @@ def scalar_cluster(q=1.0, r=1.0, k0=1.5, seed=0, windows=None, amplitude=1.0):
 
 
 SCALAR_PLANT = AgentModel(np.zeros((1, 1)), np.eye(1))
+
+
+def msd_pair(k=1.0, c=1.0, mass=1.0):
+    """Planar mass-spring-damper agent, 4 states and 2 inputs."""
+    z, eye = np.zeros((2, 2)), np.eye(2)
+    A = np.block([[z, eye], [-(k / mass) * eye, -(c / mass) * eye]])
+    B = np.vstack([z, eye / mass])
+    return A, B
+
+
+MSD_GAIN = np.array([[0.4, 0.1, 0.8, 0.0], [-0.2, 0.5, 0.1, 0.7]])
 
 
 class TestSimulate:
@@ -143,6 +155,52 @@ class TestSimulate:
             simulate(SCALAR_PLANT, np.eye(1), None, [1.0], -1e-3, 1.0)
         with pytest.raises(PreconditionFailed):
             simulate(SCALAR_PLANT, np.eye(1), None, [1.0], 1e-2, 1e-3)
+
+    def test_step_map_is_rk4_stability_polynomial(self):
+        # one unforced step from every unit state is Phi' with
+        # Phi = I + M + M^2/2 + M^3/6 + M^4/24, M = dt (A - BK)
+        A, B = msd_pair()
+        dt = 0.1
+        M = dt * (A - B @ MSD_GAIN)
+        M2 = M @ M
+        M3 = M2 @ M
+        Phi = np.eye(4) + M + M2 / 2 + M3 / 6 + M3 @ M / 24
+        traj = simulate(AgentModel(A, B), MSD_GAIN, None, np.eye(4), dt, dt)
+        assert traj.x.shape == (2, 4, 4)
+        assert np.max(np.abs(traj.x[1] - Phi.T)) <= 1e-14 * np.max(np.abs(Phi))
+
+    def test_step_map_matches_stagewise_rk4(self, rng):
+        # the matrix path (precomputed step map) and the callable path
+        # (per-stage derivatives) on a stacked, excited 1000-step rollout
+        A, B = msd_pair(1.05, 0.97, 1.02)
+        exc = ExcitationConfig(seed=5)
+        X0 = rng.standard_normal((3, 4))
+        lin = simulate(AgentModel(A, B), MSD_GAIN, exc, X0, 1e-3, 1.0)
+        gen = simulate(lambda x, u: A @ x + B @ u, MSD_GAIN, exc, X0, 1e-3, 1.0)
+        assert lin.x.shape == gen.x.shape == (1001, 3, 4)
+        np.testing.assert_allclose(gen.x, lin.x, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(lin.x)))
+        np.testing.assert_allclose(gen.u, lin.u, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(lin.u)))
+
+    def test_blowup_step_same_on_both_paths(self):
+        messages = []
+        for plant in (AgentModel(5.0 * np.eye(2), np.zeros((2, 1))), lambda x, u: 5 * x):
+            with pytest.raises(NonFinite) as info:
+                simulate(plant, np.zeros((1, 2)), None, np.ones(2), 1e-2, 10.0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "step" in messages[0]
+
+    def test_wrong_width_excitation_callable(self):
+        plant = AgentModel(np.array([[-1.0]]), np.eye(1))
+        with pytest.raises(DimensionMismatch):
+            simulate(plant, np.zeros((1, 1)), lambda t: [1.0, 2.0], [0.0], 1e-3, 0.1)
+
+    def test_wrong_length_plant_derivative(self):
+        with pytest.raises(DimensionMismatch):
+            simulate(lambda x, u: np.zeros(3), np.zeros((1, 2)), None,
+                     [1.0, 0.0], 1e-3, 0.1)
 
 
 class TestEmpiricalAbscissa:
@@ -378,6 +436,27 @@ class TestHierarchicalSolve:
         K, _ = hierarchical_solve(spec, plan, black_box, config)
         assert calls["n"] > 0
         assert np.linalg.norm(K - matkit.sqrtm_psd(spec.G1)) <= 1e-3
+
+    def test_step_map_and_callable_plant_learn_same_gain(self, rng):
+        # the hetero cluster plants advance by the step map; the same
+        # dynamics as a black box go through the per-stage path
+        from hlqr.bench import derive_initial_gain
+        from hlqr.robust import HeteroModel
+
+        N = 4
+        pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (N, 3))]
+        model = HeteroModel([A for A, _ in pairs], [B for _, B in pairs])
+        spec = LqrSpec(N, 4, 2, 0.5 * np.eye(N) + random_laplacian(rng, N),
+                       np.eye(N), np.eye(4), np.eye(2))
+        plan = construct_T(spec.G1, spec.G2)
+        k_agent = derive_initial_gain(*msd_pair(), seed=3)
+        config = HierarchicalConfig(
+            initial_gains=[matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes],
+        )
+        K_map, _ = hierarchical_solve(spec, plan, model, config)
+        A, B = model.A, model.B
+        K_box, _ = hierarchical_solve(spec, plan, lambda x, u: A @ x + B @ u, config)
+        assert np.linalg.norm(K_box - K_map) <= 1e-9 * np.linalg.norm(K_map)
 
     def test_requires_initial_gains(self):
         spec = two_agent_spec()
