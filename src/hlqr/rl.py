@@ -183,19 +183,19 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     # a stage state that turns inf makes NaN in g; the step check raises
     with np.errstate(invalid="ignore", over="ignore"):
         if isinstance(dyn, tuple):
-            # one step is linear in the state and the three stage inputs:
-            # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2', each map read off the
-            # RK4 body applied to unit rows
-            eye, zero = np.eye(m), np.zeros((m, m))
-            Phi_t = rk4(np.eye(dim), zero[0], zero[0], zero[0])
+            # one step is linear in the state and the three stage inputs,
+            # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2'; each map is the RK4
+            # body applied to unit rows
+            no_input = np.zeros(m)
+            Phi_t = rk4(np.eye(dim), no_input, no_input, no_input)
             if excitation is None:
                 def step(x, k):
                     return x @ Phi_t
             else:
-                x_zero = np.zeros((m, dim))
-                F = (E[0:-1:2] @ rk4(x_zero, eye, zero, zero)
-                     + E[1::2] @ rk4(x_zero, zero, eye, zero)
-                     + E[2::2] @ rk4(x_zero, zero, zero, eye))
+                eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((m, dim))
+                F = (E[0:-1:2] @ rk4(no_state, eye, zero, zero)
+                     + E[1::2] @ rk4(no_state, zero, eye, zero)
+                     + E[2::2] @ rk4(no_state, zero, zero, eye))
 
                 def step(x, k):
                     return x @ Phi_t + F[k]
