@@ -24,9 +24,11 @@ from .decomp import (
 from .errors import (
     BudgetExceeded,
     ClusterFailure,
+    DimensionMismatch,
     GenerationFailed,
     K0NotStabilizing,
     PreconditionFailed,
+    SolverDiverged,
     SolverFailure,
 )
 from .lqr import AgentModel, evaluate_cost
@@ -175,30 +177,33 @@ def build_example(config: BenchConfig):
 
 def derive_initial_gain(A, B, seed: int, perturbation: float = 0.1,
                         depth: float = 1.0) -> np.ndarray:
-    """Stabilizing gain by pole placement on a deliberately perturbed copy
-    of the model; the perturbed copy is discarded afterwards so learning
-    stays model-free."""
-    # Imported here, not at module level: scipy.signal takes about a second
-    # to import, and no other hlqr command places poles.
-    import scipy.signal
+    """Stabilizing gain from a deliberately perturbed copy of the model; the
+    perturbed copy is discarded afterwards so learning stays model-free.
 
+    On each perturbed draw (Ap, Bp) the gain is the Riccati gain of
+    (Ap + depth I, Bp) with Q = I and R = I. It puts every eigenvalue of
+    Ap - Bp K left of -depth (the prescribed degree of stability, Anderson
+    & Moore). Draws on which the Riccati solve fails are skipped.
+    """
     A = matkit.require_square(A, "A")
     B = matkit.as_matrix(B, "B")
-    rng = np.random.default_rng(seed)
     n = A.shape[0]
+    if B.shape[0] != n:
+        raise DimensionMismatch(f"A is {A.shape}, B is {B.shape}")
+    rng = np.random.default_rng(seed)
     scale_a = perturbation * max(float(np.linalg.norm(A)), 1e-2) / n
     scale_b = perturbation * max(float(np.linalg.norm(B)), 1e-3) / n
     for attempt in range(20):
         Ap = A + scale_a * rng.standard_normal(A.shape)
         Bp = B + scale_b * rng.standard_normal(B.shape)
-        poles = -depth * np.linspace(1.0, 2.2, n)
         try:
-            K = scipy.signal.place_poles(Ap, Bp, poles).gain_matrix
-        except ValueError:
+            _, K = matkit.solve_are(Ap + depth * np.eye(n), Bp, np.eye(n),
+                                    np.eye(B.shape[1]))
+        except (PreconditionFailed, SolverDiverged):
             continue
         if matkit.spectral_abscissa(Ap - Bp @ K) < 0:
             return K
-    raise GenerationFailed("pole placement failed on every perturbation draw")
+    raise GenerationFailed("no stabilizing Riccati gain on any perturbation draw")
 
 
 def _global_model(spec: LqrSpec, model: HeteroModel,

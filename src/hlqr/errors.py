@@ -67,7 +67,13 @@ class NotStabilizing(SolverFailure):
 
 
 class NonFinite(SolverFailure):
-    """Simulated state blew up (norm above 1e12) or produced NaN/inf."""
+    """Simulated state blew up (norm above 1e12) or produced NaN/inf.
+    ``clusters`` holds the indices along a stacked rollout's cluster axis
+    whose states did so (``(0,)`` for a single plant)."""
+
+    def __init__(self, message="", clusters=()):
+        super().__init__(message)
+        self.clusters = tuple(clusters)
 
 
 class GenerationFailed(SolverFailure):

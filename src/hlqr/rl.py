@@ -12,6 +12,15 @@ per cluster: with identical agents and equal initial gains, every cluster
 of a given size learns from the same batch. Each cluster still runs its
 own regression and its own final decay probe.
 
+The clusters are decoupled, so those with A/B plants and equal
+dimensions (a shape class) are rolled out together: ``simulate``,
+``empirical_abscissa`` and ``collect_batch`` take a leading cluster axis,
+and the hierarchical solve makes one stacked K0 probe and one stacked
+collection per class, each cluster under its own excitation seed. The
+time of a stacked phase is split evenly over the clusters in it (their
+``ClusterStats.wall_ms``). Callable plants are rolled out one cluster at
+a time.
+
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
 step of 1e-2. A plant given by A/B matrices advances by the RK4 step map,
@@ -99,17 +108,33 @@ def _excitation_samples(excitation, input_dim: int, times: np.ndarray) -> np.nda
     return np.vstack(rows)
 
 
-def _as_dynamics(plant, state_dim: int, input_dim: int):
-    """Normalize a plant to either (A, B) matrices or a derivative callable."""
-    if hasattr(plant, "A") and hasattr(plant, "B"):
-        A = matkit.require_square(plant.A, "plant.A")
-        B = matkit.as_matrix(plant.B, "plant.B")
-        if A.shape[0] != state_dim or B.shape != (state_dim, input_dim):
+def _as_dynamics(plants, state_dim: int, input_dim: int):
+    """Normalize r plants to stacked (A, B) matrices of shapes (r, n, n)
+    and (r, n, m), or to a list of derivative callables."""
+    has_ab = [hasattr(p, "A") and hasattr(p, "B") for p in plants]
+    if all(has_ab):
+        try:
+            A = np.array([p.A for p in plants], dtype=float)
+            B = np.array([p.B for p in plants], dtype=float)
+        except ValueError:
+            A = B = None
+        r = len(plants)
+        if (A is None or A.shape != (r, state_dim, state_dim)
+                or B.shape != (r, state_dim, input_dim)):
             raise DimensionMismatch("plant dimensions do not match state/policy")
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise PreconditionFailed("plant.A or plant.B has non-finite entries")
         return A, B
-    if callable(plant):
-        return plant
+    if any(has_ab):
+        raise PreconditionFailed("a cluster stack cannot mix A/B and callable plants")
+    if all(callable(p) for p in plants):
+        return list(plants)
     raise PreconditionFailed("plant must expose A/B or be a derivative callable f(x, u)")
+
+
+def _is_stack(plant) -> bool:
+    """Whether ``plant`` is a list of cluster plants (a cluster axis)."""
+    return isinstance(plant, (list, tuple))
 
 
 def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
@@ -128,44 +153,77 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     NaN or inf or its norm exceeds 1e12, and ``DimensionMismatch`` if the
     excitation or a callable plant returns the wrong number of values.
 
+    A list of r plants of equal dimensions adds a leading cluster axis:
+    ``policy`` then holds r gains, ``excitation`` is None or a list of r
+    excitations, and ``x0`` is an (r, dim) or (r, k, dim) stack; the
+    trajectory carries the cluster axis second, before any row axis. The
+    clusters advance together and never mix, and the ``NonFinite`` of a
+    blow-up names the clusters whose states blew up in its ``clusters``.
+    A single plant is the r = 1 case.
+
     For A/B matrices one step with half-step excitation is the linear map
     x+ = Phi x + G0 e0 + G1 e1 + G2 e2. Phi and the G's are read off the
     RK4 body once per call, the forcing of all steps is formed in three
-    products before the loop, and each step is one matrix product. A
-    callable plant is evaluated at each of the four stages of every step.
-    Both paths compute the same RK4 step up to round-off.
+    products before the loop, and each step is one (stacked) matrix
+    product. A callable plant is evaluated at each of the four stages of
+    every step. Both paths compute the same RK4 step up to round-off.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
     if horizon < dt:
         raise PreconditionFailed("horizon must be at least one step")
-    K = matkit.as_matrix(policy, "policy")
+    clustered = _is_stack(plant)
+    plants = list(plant) if clustered else [plant]
+    r = len(plants)
+    if clustered:
+        K = np.asarray(policy, dtype=float)
+        excitations = [None] * r if excitation is None else list(excitation)
+        if K.ndim != 3 or K.shape[0] != r or len(excitations) != r:
+            raise DimensionMismatch("need one gain and one excitation per cluster plant")
+        if not np.all(np.isfinite(K)):
+            raise PreconditionFailed("policy has non-finite entries")
+    else:
+        K = matkit.as_matrix(policy, "policy")[None]
+        excitations = [excitation]
     x = np.asarray(x0, dtype=float)
-    stacked = x.ndim == 2
-    if not stacked:
-        x = x.reshape(1, -1)
-    dim, m = x.shape[1], K.shape[0]
-    if K.shape[1] != dim:
-        raise DimensionMismatch(f"policy is {K.shape}, state dim is {dim}")
+    if not clustered:
+        x = x[None]
+    rows = x.ndim == 3
+    if x.ndim == 2:
+        x = x[:, None]
+    if x.ndim != 3 or x.shape[0] != r:
+        raise DimensionMismatch(f"initial states of shape {np.shape(x0)} for {r} plant(s)")
+    dim, m = x.shape[2], K.shape[1]
+    if K.shape[2] != dim:
+        raise DimensionMismatch(f"policy is {K.shape[1:]}, state dim is {dim}")
     steps = int(round(horizon / dt))
     stage_times = t0 + 0.5 * dt * np.arange(2 * steps + 1)
-    E = _excitation_samples(excitation, m, stage_times)
+    # (2 steps + 1, r, 1, m): broadcasts over the rows of each cluster
+    unforced = all(e is None for e in excitations)
+    E = (np.zeros((stage_times.size, r, 1, m)) if unforced
+         else np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
+                       axis=1)[:, :, None])
+    K_t = K.swapaxes(1, 2)
 
-    dyn = _as_dynamics(plant, dim, m)
-    if isinstance(dyn, tuple):
+    dyn = _as_dynamics(plants, dim, m)
+    matrix = isinstance(dyn, tuple)
+    if matrix:
         A, B = dyn
-        Acl_t, B_t = (A - B @ K).T, B.T
+        Acl_t, B_t = (A - B @ K).swapaxes(1, 2), B.swapaxes(1, 2)
 
         def g(x, e):
             return x @ Acl_t + e @ B_t
     else:
         def g(x, e):
-            u = e - x @ K.T
-            dx = np.stack([np.asarray(dyn(xi, ui), dtype=float).ravel()
-                           for xi, ui in zip(x, u)])
+            u = e - x @ K_t
+            dx = np.stack([
+                np.stack([np.asarray(f(xi, ui), dtype=float).ravel()
+                          for xi, ui in zip(xc, uc)])
+                for f, xc, uc in zip(dyn, x, u)
+            ])
             if dx.shape != x.shape:
                 raise DimensionMismatch(
-                    f"plant derivative has {dx.shape[1]} entries, state dim is {dim}")
+                    f"plant derivative has {dx.shape[-1]} entries, state dim is {dim}")
             return dx
 
     half = 0.5 * dt
@@ -182,58 +240,109 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     bound = STATE_BLOWUP_NORM**2
     # a stage state that turns inf makes NaN in g; the step check raises
     with np.errstate(invalid="ignore", over="ignore"):
-        if isinstance(dyn, tuple):
+        if matrix:
             # one step is linear in the state and the three stage inputs,
             # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2'; each map is the RK4
-            # body applied to unit rows
-            no_input = np.zeros(m)
+            # body applied to unit rows, one (r, ., dim) stack per cluster
+            no_input = np.zeros((1, m))
             Phi_t = rk4(np.eye(dim), no_input, no_input, no_input)
-            if excitation is None:
-                def step(x, k):
-                    return x @ Phi_t
+            if unforced:
+                def step(x, k, out):
+                    return np.matmul(x, Phi_t, out=out)
             else:
                 eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((m, dim))
-                F = (E[0:-1:2] @ rk4(no_state, eye, zero, zero)
-                     + E[1::2] @ rk4(no_state, zero, eye, zero)
-                     + E[2::2] @ rk4(no_state, zero, zero, eye))
+                Er = E[:, :, 0].transpose(1, 0, 2)             # (r, 2 steps + 1, m)
+                F = (Er[:, 0:-1:2] @ rk4(no_state, eye, zero, zero)
+                     + Er[:, 1::2] @ rk4(no_state, zero, eye, zero)
+                     + Er[:, 2::2] @ rk4(no_state, zero, zero, eye))
+                F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
 
-                def step(x, k):
-                    return x @ Phi_t + F[k]
+                def step(x, k, out):
+                    np.matmul(x, Phi_t, out=out)
+                    out += F[k]
+                    return out
         else:
-            def step(x, k):
-                return rk4(x, E[2 * k], E[2 * k + 1], E[2 * k + 2])
+            def step(x, k, out):
+                out[...] = rk4(x, E[2 * k], E[2 * k + 1], E[2 * k + 2])
+                return out
+        # each step writes the next state straight into its trajectory row
         for k in range(steps):
-            x = step(x, k)
+            x = step(x, k, X[k + 1])
             # false for NaN, for inf and for a norm above the blow-up bound;
             # the whole stack's squared norm bounds each row's, so rows are
             # checked one by one only when it fails
-            if not (np.vdot(x, x) <= bound or np.max(np.einsum("ij,ij->i", x, x)) <= bound):
-                raise NonFinite(f"state blew up at step {k + 1}")
-            X[k + 1] = x
-    if not stacked:
-        X = X[:, 0]
-    U = (E[::2, None] if stacked else E[::2]) - X @ K.T
+            if not np.vdot(x, x) <= bound:
+                norms = np.einsum("rki,rki->rk", x, x)
+                if not np.max(norms) <= bound:
+                    blown = np.flatnonzero(~np.all(norms <= bound, axis=1))
+                    raise NonFinite(f"state blew up at step {k + 1}", clusters=blown)
+    if not rows:
+        X = X[:, :, 0]
+    feedback = X.swapaxes(0, 1) @ (K_t[:, None] if rows else K_t)
+    U = (E[::2] if rows else E[::2, :, 0]) - feedback.swapaxes(0, 1)
+    if not clustered:
+        X, U = X[:, 0], U[:, 0]
     t = t0 + dt * np.arange(steps + 1)
     return Trajectory(t, X, U)
 
 
+def _drop_blowups(rollout, count: int):
+    """Run ``rollout(live)`` on the cluster indices ``live``. When its
+    stacked rollout blows up, the clusters its ``NonFinite`` names fail
+    with that error and the others run again without them (the rare path;
+    normally the first run is the only one).
+
+    Returns (live, result, failed): the clusters of the run that
+    completed, its result (None when no cluster is left) and the
+    ``NonFinite`` of each failed cluster by index.
+    """
+    live, failed = list(range(count)), {}
+    while live:
+        try:
+            return live, rollout(live), failed
+        except NonFinite as exc:
+            dead = {live[j] for j in exc.clusters}
+            if not dead:
+                raise
+            failed.update(dict.fromkeys(dead, exc))
+            live = [i for i in live if i not in dead]
+    return live, None, failed
+
+
 def empirical_abscissa(plant, gain, dim: int, dt: float = 1e-2,
-                       horizon: float = 1.0) -> float:
+                       horizon: float = 1.0) -> float | np.ndarray:
     """Closed-loop spectral abscissa estimated from black-box rollouts.
 
     Integrates all unit initial conditions under u = -K x in one stacked
     rollout and eigen-analyzes the resulting one-horizon transition
-    matrix; never reads plant matrices directly.
+    matrix; never reads plant matrices directly. A rollout that blows up
+    gives ``inf``.
+
+    A list of r plants with an (r, m, dim) stack of gains is probed in one
+    rollout over the cluster axis and gives an array of r abscissas; a
+    cluster that blows up gets ``inf`` and the others are probed again
+    without it.
     """
-    try:
-        traj = simulate(plant, gain, None, np.eye(dim), dt, horizon)
-    except NonFinite:
-        return np.inf
-    M = traj.x[-1].T
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-    if rho <= 0.0:
-        return -np.inf
-    return float(np.log(rho) / horizon)
+    clustered = _is_stack(plant)
+    plants = list(plant) if clustered else [plant]
+    gains = (np.asarray(gain, dtype=float) if clustered
+             else matkit.as_matrix(gain, "policy")[None])
+    r = len(plants)
+    eyes = np.broadcast_to(np.eye(dim), (r, dim, dim))
+
+    def rollout(live):
+        rows = live if len(live) < r else slice(None)
+        traj = simulate([plants[i] for i in live], gains[rows], None, eyes[rows],
+                        dt, horizon)
+        return traj.x[-1].swapaxes(1, 2)
+
+    live, M, _ = _drop_blowups(rollout, r)
+    out = np.full(r, np.inf)
+    if live:
+        # log(0) = -inf: a transition map that annihilates every state
+        with np.errstate(divide="ignore"):
+            out[live] = np.log(np.abs(np.linalg.eigvals(M)).max(axis=1)) / horizon
+    return out if clustered else float(out[0])
 
 
 @dataclass(eq=False)
@@ -268,14 +377,15 @@ def _check_budget(start: float, done: int, total: int, deadline: float | None) -
             )
 
 
-def _check_memory(cluster: ClusterProblem) -> None:
-    predicted = regression_bytes(cluster.state_dim, cluster.input_dim,
-                                 cluster.window_count)
+def _check_memory(clusters: Sequence[ClusterProblem]) -> None:
+    predicted = sum(regression_bytes(c.state_dim, c.input_dim, c.window_count)
+                    for c in clusters)
     available = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if predicted > available:
         raise BudgetExceeded(
-            f"predicted {predicted} bytes for {cluster.window_count} windows "
-            f"exceeds physical memory of {available} bytes"
+            f"predicted {predicted} bytes for {len(clusters)} x "
+            f"{clusters[0].window_count} windows exceeds physical memory of "
+            f"{available} bytes"
         )
 
 
@@ -291,7 +401,7 @@ def _reduced_rows(batch_ixx: np.ndarray, batch_ixu: np.ndarray) -> np.ndarray:
 
 
 def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
-                  deadline: float | None = None) -> TrajectoryBatch:
+                  deadline: float | None = None) -> TrajectoryBatch | list:
     """Record L windows of closed-loop data under the cluster's initial gain
     plus exploration noise, with trapezoidal window integrals at the
     simulation step.
@@ -305,48 +415,86 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     numerical rank below the unknown count, and ``BudgetExceeded`` when the
     memory budget is exceeded or a deadline is given and passed (or
     provably unreachable).
+
+    A list of r problems with equal dimensions and window settings, with
+    ``plant`` the list of their plants and ``x0`` an (r, n) stack, is
+    collected together: each window is one ``simulate`` call over the
+    cluster axis, each cluster under its own initial gain and excitation
+    seed, and the memory check covers the summed bytes. The result then
+    lists, per cluster, its batch or the error that ended its collection:
+    ``NonFinite`` for a cluster whose rollout blew up (the others are
+    collected again without it) or ``ExcitationDeficient``.
     """
-    if cluster.initial_gain is None:
-        raise PreconditionFailed("cluster has no initial gain")
-    if cluster.window_count is None:
-        raise PreconditionFailed("cluster has no window count")
-    K0 = matkit.as_matrix(cluster.initial_gain, "initial gain")
-    delta, L = cluster.sample_interval, cluster.window_count
+    clustered = _is_stack(cluster)
+    clusters = list(cluster) if clustered else [cluster]
+    plants = list(plant) if clustered else [plant]
+    r = len(clusters)
+    if r == 0 or len(plants) != r:
+        raise DimensionMismatch("need one plant per cluster problem")
+    for c in clusters:
+        if c.initial_gain is None:
+            raise PreconditionFailed("cluster has no initial gain")
+        if c.window_count is None:
+            raise PreconditionFailed("cluster has no window count")
+    n, m = clusters[0].state_dim, clusters[0].input_dim
+    delta, L = clusters[0].sample_interval, clusters[0].window_count
+    if any((c.state_dim, c.input_dim, c.sample_interval, c.window_count) != (n, m, delta, L)
+           for c in clusters):
+        raise DimensionMismatch("stacked clusters must share dimensions and window settings")
     steps = delta / dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise PreconditionFailed("integration step must divide the window length")
-    _check_memory(cluster)
-    exc = (
-        ExcitationSignal(cluster.excitation, cluster.input_dim)
-        if cluster.excitation is not None
-        else None
-    )
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    n, m = cluster.state_dim, cluster.input_dim
-    x_start = np.empty((L, n))
-    x_end = np.empty((L, n))
-    ixx = np.empty((L, n, n))
-    ixu = np.empty((L, n, m))
-    start = time.monotonic()
-    for w in range(L):
-        _check_budget(start, w, L, deadline)
-        traj = simulate(plant, K0, exc, x, dt, delta, t0=w * delta)
-        weights = np.full(traj.x.shape[0], dt)
-        weights[0] = weights[-1] = 0.5 * dt
-        Xw = traj.x * weights[:, None]
-        x_start[w] = traj.x[0]
-        x_end[w] = traj.x[-1]
-        ixx[w] = Xw.T @ traj.x
-        ixu[w] = Xw.T @ traj.u
-        x = traj.x[-1]
-    rank = matkit.numerical_rank(_reduced_rows(ixx, ixu))
-    q = cluster.q
-    if rank < q:
-        raise ExcitationDeficient(
-            f"regression rank {rank} below unknown count {q}; "
-            "increase windows, amplitude, or component count"
+    _check_memory(clusters)
+    K0 = np.stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters])
+    excitations = [
+        ExcitationSignal(c.excitation, m) if c.excitation is not None else None
+        for c in clusters
+    ]
+    X0 = np.asarray(x0, dtype=float).reshape(r, n)
+    weights = np.full(int(round(steps)) + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+
+    def rollout(live):
+        sub_plants = [plants[i] for i in live]
+        sub_excitations = [excitations[i] for i in live]
+        x = X0[live]
+        x_start = np.empty((len(live), L, n))
+        x_end = np.empty((len(live), L, n))
+        ixx = np.empty((len(live), L, n, n))
+        ixu = np.empty((len(live), L, n, m))
+        start = time.monotonic()
+        for w in range(L):
+            _check_budget(start, w, L, deadline)
+            traj = simulate(sub_plants, K0[live], sub_excitations, x, dt, delta,
+                            t0=w * delta)
+            xs = traj.x.transpose(1, 0, 2)                  # (r, steps + 1, n)
+            xw = (xs * weights[:, None]).swapaxes(1, 2)
+            x_start[:, w] = traj.x[0]
+            x_end[:, w] = traj.x[-1]
+            ixx[:, w] = xw @ xs
+            ixu[:, w] = xw @ traj.u.transpose(1, 0, 2)
+            x = traj.x[-1]
+        return x_start, x_end, ixx, ixu
+
+    live, arrays, failed = _drop_blowups(rollout, r)
+    results: list = [failed.get(i) for i in range(r)]
+    for j, i in enumerate(live):
+        x_start, x_end, ixx, ixu = (a[j] for a in arrays)
+        rank = matkit.numerical_rank(_reduced_rows(ixx, ixu))
+        q = clusters[i].q
+        results[i] = (
+            ExcitationDeficient(
+                f"regression rank {rank} below unknown count {q}; "
+                "increase windows, amplitude, or component count"
+            )
+            if rank < q
+            else TrajectoryBatch(x_start, x_end, ixx, ixu, rank, rank == q)
         )
-    return TrajectoryBatch(x_start, x_end, ixx, ixu, rank, rank == q)
+    if clustered:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def _phi(X: np.ndarray, tri) -> np.ndarray:
@@ -430,16 +578,6 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
     return K, P, history
 
 
-class _BatchGroup(NamedTuple):
-    """Clusters sharing one plant object and one initial gain, learned from
-    the probe and batch of the first of them."""
-
-    plant: object
-    gain: np.ndarray
-    batch: TrajectoryBatch
-    first: int
-
-
 @dataclass(eq=False)
 class HierarchicalConfig:
     """Exploration signal and per-cluster initial gains of the
@@ -453,8 +591,11 @@ class HierarchicalConfig:
 class ClusterStats:
     """Per-cluster outcome. ``batch_of`` is the index of the cluster whose
     K0 probe and batch this cluster learned from (its own when it
-    collected); the shared collection's time is in that cluster's
-    ``wall_ms``."""
+    collected). ``wall_ms`` is the cluster's own regression and final
+    probe plus its share of the stacked K0 probe and collection of its
+    shape class: that time is split evenly over the clusters that
+    collected in it, and a cluster that reused another's batch gets none.
+    """
 
     index: int
     size: int
@@ -525,22 +666,32 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
                        config: HierarchicalConfig | None = None):
     """Run the full hierarchical model-free pipeline.
 
-    Projects the problem onto the plan's clusters, then per cluster, in
-    index order: verifies the supplied initial gain with an empirical decay
-    probe, collects a trajectory batch, and runs off-policy policy
-    iteration with the cluster's own weights and a final decay probe.
-
+    Projects the problem onto the plan's clusters, then works in phases.
     The recorded data do not depend on a cluster's weights, so a cluster
     whose plant is the same object as an earlier cluster's and whose
     initial gain is equal to that cluster's reuses its probe and batch
     (collected under the earlier cluster's excitation seed). Only
     identical clusters of an agent model share a plant object (see
-    ``cluster_plants``); grouping never reads plant matrices.
+    ``cluster_plants``).
 
-    The global gain is reassembled through the plan's transformation. The
-    first cluster error is re-raised as ``ClusterFailure`` tagged with the
-    cluster index, keeping stats of the clusters that did finish; a failed
-    shared probe or batch is tagged with the first cluster of its group.
+    The clusters that collect form shape classes: those with A/B plants
+    and equal state and input dimensions (and window settings) share one,
+    and each cluster with a callable plant is a class of its own. Each
+    class gets one stacked ``empirical_abscissa`` probe of its initial
+    gains and one stacked ``collect_batch`` over the clusters that pass
+    it, so its clusters advance together in every window; each keeps its
+    own excitation seed, window integrals and rank check. Grouping reads
+    only the problems' dimensions and whether a plant exposes A/B, never
+    plant matrices. The time of a class's probe and collection is split
+    evenly over its clusters' ``wall_ms``.
+
+    Then, in index order, every cluster runs off-policy policy iteration
+    with its own weights and a final decay probe. The global gain is
+    reassembled through the plan's transformation. The lowest-index
+    cluster that failed (its probe, its batch or its regression) is
+    re-raised as ``ClusterFailure`` with the stats of every lower-index
+    cluster, as a one-at-a-time solve would; a failed shared probe or
+    batch is tagged with the first cluster of its group.
 
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
@@ -555,22 +706,64 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     for problem, gain in zip(problems, config.initial_gains):
         problem.initial_gain = matkit.as_matrix(gain, "initial gain")
     plants = cluster_plants(plant_access, plan, spec)
-    groups: list[_BatchGroup] = []
+
+    # batch groups: the first cluster of each collects for all of it
+    leaders: list[int] = []
+    batch_of: list[int] = []
+    for i, (problem, plant) in enumerate(zip(problems, plants)):
+        lead = next(
+            (j for j in leaders
+             if plants[j] is plant and np.array_equal(problems[j].initial_gain,
+                                                      problem.initial_gain)),
+            i,
+        )
+        if lead == i:
+            leaders.append(i)
+        batch_of.append(lead)
+    classes: dict[object, list[int]] = {}
+    for i in leaders:
+        p = problems[i]
+        stackable = hasattr(plants[i], "A") and hasattr(plants[i], "B")
+        key = ((p.state_dim, p.input_dim, p.sample_interval, p.window_count)
+               if stackable else ("callable", i))
+        classes.setdefault(key, []).append(i)
+
+    # one stacked K0 probe and one stacked collection per class; each
+    # collecting cluster ends with a batch or the error that stopped it
+    outcome: dict[int, object] = {}
+    wall = [0.0] * plan.r
+    for members in classes.values():
+        t0 = time.perf_counter()
+        try:
+            nc = problems[members[0]].state_dim
+            abscissa = empirical_abscissa(
+                [plants[i] for i in members],
+                np.stack([problems[i].initial_gain for i in members]), nc)
+            passed = []
+            for i, a in zip(members, abscissa):
+                if a >= 0:
+                    outcome[i] = K0NotStabilizing(
+                        f"initial gain for cluster {i} is not stabilizing")
+                else:
+                    passed.append(i)
+            if passed:
+                outcome.update(zip(passed, collect_batch(
+                    [plants[i] for i in passed], [problems[i] for i in passed],
+                    np.full((len(passed), nc), 1.0 / np.sqrt(nc)))))
+        except Exception as exc:  # noqa: BLE001 - a whole-class failure
+            outcome.update((i, exc) for i in members if i not in outcome)
+        share = (time.perf_counter() - t0) / len(members)
+        for i in members:
+            wall[i] = share
+
     gains, stats = [], []
     for i, (problem, plant) in enumerate(zip(problems, plants)):
         t0 = time.perf_counter()
-        nc, K0 = problem.state_dim, problem.initial_gain
-        group = next(
-            (g for g in groups if g.plant is plant and np.array_equal(g.gain, K0)), None
-        )
+        batch = outcome[batch_of[i]]
+        if isinstance(batch, Exception):
+            raise ClusterFailure(i, batch, stats) from batch
         try:
-            if group is None:
-                if empirical_abscissa(plant, K0, nc) >= 0:
-                    raise K0NotStabilizing(f"initial gain for cluster {i} is not stabilizing")
-                batch = collect_batch(plant, problem, np.full(nc, 1.0 / np.sqrt(nc)))
-                group = _BatchGroup(plant, K0, batch, i)
-                groups.append(group)
-            kappa, _, history = offpolicy_pi(group.batch, problem, plant=plant)
+            kappa, _, history = offpolicy_pi(batch, problem, plant=plant)
         except Exception as exc:  # noqa: BLE001 - tagged and re-raised
             raise ClusterFailure(i, exc, stats) from exc
         residual = (
@@ -578,10 +771,10 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
             if len(history) > 1
             else 0.0
         )
-        wall_ms = 1e3 * (time.perf_counter() - t0)
+        wall_ms = 1e3 * (wall[i] + time.perf_counter() - t0)
         gains.append(kappa)
         stats.append(ClusterStats(i, plan.cluster_sizes[i], len(history), residual,
-                                  wall_ms, group.first))
+                                  wall_ms, batch_of[i]))
     K = assemble_gain(plan, gains, spec.n, spec.m)
     return K, stats
 

@@ -6,7 +6,7 @@ H-infinity / H2 norm machinery they need."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,12 @@ HINF_MAX_ROUNDS = 30
 @dataclass(eq=False)
 class HeteroModel:
     """Per-agent state-space pairs (A_i, B_i) with the assembled
-    block-diagonal global matrices."""
+    block-diagonal global matrices ``A`` and ``B``, built once."""
 
     A_blocks: list[np.ndarray]
     B_blocks: list[np.ndarray]
+    A: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.A_blocks or len(self.A_blocks) != len(self.B_blocks):
@@ -44,6 +46,8 @@ class HeteroModel:
         for A, B in zip(self.A_blocks, self.B_blocks):
             if A.shape != shape_a or B.shape != shape_b or B.shape[0] != shape_a[0]:
                 raise DimensionMismatch("all agents must share state/input dimensions")
+        self.A = sla.block_diag(*self.A_blocks)
+        self.B = sla.block_diag(*self.B_blocks)
 
     @property
     def N(self) -> int:
@@ -56,14 +60,6 @@ class HeteroModel:
     @property
     def m(self) -> int:
         return self.B_blocks[0].shape[1]
-
-    @property
-    def A(self) -> np.ndarray:
-        return sla.block_diag(*self.A_blocks)
-
-    @property
-    def B(self) -> np.ndarray:
-        return sla.block_diag(*self.B_blocks)
 
 
 @dataclass(eq=False)

@@ -160,12 +160,27 @@ def test_exit_code_mapping():
 
 
 def test_cli_import_skips_scipy_signal():
-    # only pole placement needs scipy.signal, which is slow to import; a
-    # fresh interpreter shows whether importing the CLI pulls it in
+    # scipy.signal is slow to import and hlqr needs none of it; a fresh
+    # interpreter shows whether importing the CLI, deriving an initial
+    # gain or a two-agent hierarchical solve pulls it in
     src = str(Path(hlqr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, hlqr.cli; print('scipy.signal' in sys.modules)"
+    code = "\n".join([
+        "import sys, numpy as np, hlqr.cli",
+        "from hlqr.bench import derive_initial_gain",
+        "from hlqr.decomp import LqrSpec, construct_T",
+        "from hlqr.lqr import AgentModel",
+        "from hlqr.rl import HierarchicalConfig, hierarchical_solve",
+        "A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])",
+        "k = derive_initial_gain(A, B, seed=0)",
+        "spec = LqrSpec(2, 2, 1, np.array([[2.0, -1.0], [-1.0, 2.0]]), np.eye(2),",
+        "               np.eye(2), np.eye(1))",
+        "plan = construct_T(spec.G1, spec.G2)",
+        "hierarchical_solve(spec, plan, AgentModel(A, B),",
+        "                   HierarchicalConfig(initial_gains=[k] * plan.r))",
+        "print('scipy.signal' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"

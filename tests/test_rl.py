@@ -202,6 +202,45 @@ class TestSimulate:
             simulate(lambda x, u: np.zeros(3), np.zeros((1, 2)), None,
                      [1.0, 0.0], 1e-3, 0.1)
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["one-state", "row-stack"])
+    def test_cluster_stack_matches_single_rollouts(self, rows, rng):
+        # r heterogeneous clusters, each with its own gain, seed and start
+        r = 3
+        pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (r, 3))]
+        plants = [AgentModel(A, B) for A, B in pairs]
+        gains = MSD_GAIN + 0.05 * rng.standard_normal((r, 2, 4))
+        excs = [ExcitationConfig(seed=10 + c) for c in range(r)]
+        X0 = rng.standard_normal((r, 2, 4) if rows else (r, 4))
+        stacked = simulate(plants, gains, excs, X0, 1e-3, 0.5)
+        assert stacked.x.shape == (501,) + X0.shape
+        assert stacked.u.shape == (501,) + X0.shape[:-1] + (2,)
+        for c in range(r):
+            one = simulate(plants[c], gains[c], excs[c], X0[c], 1e-3, 0.5)
+            assert np.max(np.abs(stacked.x[:, c] - one.x)) <= 1e-13 * np.max(np.abs(one.x))
+            assert np.max(np.abs(stacked.u[:, c] - one.u)) <= 1e-13 * np.max(np.abs(one.u))
+        again = simulate(plants, gains, excs, X0, 1e-3, 0.5)
+        np.testing.assert_array_equal(again.x, stacked.x)
+        np.testing.assert_array_equal(again.u, stacked.u)
+
+    def test_cluster_stack_blowup_names_clusters(self):
+        plants = [AgentModel(np.array([[a]]), np.eye(1)) for a in (-1.0, 5.0, 0.0, 6.0)]
+        with pytest.raises(NonFinite, match="step") as info:
+            simulate(plants, np.zeros((4, 1, 1)), None, np.ones((4, 1)), 1e-2, 10.0)
+        assert info.value.clusters == (3,)  # the faster growth passes 1e12 first
+        with pytest.raises(NonFinite) as info:
+            simulate(plants[:2], np.zeros((2, 1, 1)), None, np.ones((2, 1)), 1e-2, 10.0)
+        assert info.value.clusters == (1,)
+
+    def test_cluster_stack_rejects_mismatched_inputs(self):
+        plants = [SCALAR_PLANT, SCALAR_PLANT]
+        with pytest.raises(DimensionMismatch):
+            simulate(plants, np.ones((3, 1, 1)), None, np.ones((2, 1)), 1e-3, 0.1)
+        with pytest.raises(DimensionMismatch):
+            simulate(plants, np.ones((2, 1, 1)), None, np.ones((3, 1)), 1e-3, 0.1)
+        with pytest.raises(PreconditionFailed):
+            simulate([SCALAR_PLANT, lambda x, u: u], np.ones((2, 1, 1)), None,
+                     np.ones((2, 1)), 1e-3, 0.1)
+
 
 class TestEmpiricalAbscissa:
     def test_detects_marginal_loop(self):
@@ -224,6 +263,16 @@ class TestEmpiricalAbscissa:
         cols = [simulate(plant, K, None, e, 1e-2, 1.0).x[-1] for e in np.eye(3)]
         rho = np.max(np.abs(np.linalg.eigvals(np.column_stack(cols))))
         assert abs(empirical_abscissa(plant, K, 3) - np.log(rho)) <= 1e-12
+
+    def test_cluster_stack_matches_single_probes(self):
+        # the third loop blows up within the probe, the second is marginal
+        plants = [AgentModel(np.array([[a]]), np.eye(1)) for a in (-1.0, 0.0, 40.0, 2.0)]
+        gains = np.array([[[0.5]], [[0.0]], [[0.0]], [[3.0]]])
+        stacked = empirical_abscissa(plants, gains, 1)
+        assert stacked.shape == (4,) and stacked[2] == np.inf
+        for c in (0, 1, 3):
+            assert abs(stacked[c] - empirical_abscissa(plants[c], gains[c], 1)) <= 1e-12
+        assert stacked[0] < 0 <= stacked[1] and stacked[3] < 0
 
 
 class TestCollectBatch:
@@ -299,6 +348,56 @@ class TestCollectBatch:
         with pytest.raises(BudgetExceeded, match="projected completion"):
             collect_batch(SCALAR_PLANT, problem, [1.0], deadline=time.monotonic() + 5.0)
 
+    def test_cluster_stack_matches_single_batches(self, rng):
+        r = 3
+        pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (r, 3))]
+        plants = [AgentModel(A, B) for A, B in pairs]
+        problems = [
+            ClusterProblem(4, 2, np.eye(4), np.eye(2), initial_gain=MSD_GAIN + 0.1 * c,
+                           excitation=ExcitationConfig(seed=20 + c, amplitude=float(c > 0)),
+                           window_count=2 * unknown_count(4, 2))
+            for c in range(r)
+        ]
+        X0 = rng.standard_normal((r, 4))
+        stacked = collect_batch(plants, problems, X0)
+        assert isinstance(stacked[0], ExcitationDeficient)  # zero amplitude
+        with pytest.raises(ExcitationDeficient):
+            collect_batch(plants[0], problems[0], X0[0])
+        for c in (1, 2):
+            one = collect_batch(plants[c], problems[c], X0[c])
+            assert stacked[c].rank == one.rank and stacked[c].rank_ok
+            for name in ("x_start", "x_end", "ixx", "ixu"):
+                got, want = getattr(stacked[c], name), getattr(one, name)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cluster_stack_drops_blown_up_clusters(self):
+        # x' = 30x + u under gain 0 passes 1e12 within the first second
+        plants = [SCALAR_PLANT, AgentModel(np.array([[30.0]]), np.eye(1)), SCALAR_PLANT]
+        problems = [scalar_cluster(seed=s, k0=k0, windows=12)
+                    for s, k0 in ((1, 1.5), (2, 0.0), (3, 2.0))]
+        results = collect_batch(plants, problems, np.ones((3, 1)))
+        assert isinstance(results[1], NonFinite) and "blew up" in str(results[1])
+        for c in (0, 2):
+            one = collect_batch(plants[c], problems[c], [1.0])
+            np.testing.assert_allclose(results[c].ixx, one.ixx, rtol=1e-13)
+            np.testing.assert_allclose(results[c].x_end, one.x_end, rtol=1e-13)
+
+    def test_cluster_stack_admits_summed_bytes(self, monkeypatch):
+        # physical memory that fits one problem but not two
+        problem = scalar_cluster(windows=6)
+        one = regression_bytes(1, 1, 6)
+        pages = {"SC_PHYS_PAGES": 3 * one // 2, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(rl.os, "sysconf", pages.__getitem__)
+        assert collect_batch(SCALAR_PLANT, problem, [1.0]).rank_ok
+        with pytest.raises(BudgetExceeded, match=rf"predicted {2 * one} bytes"):
+            collect_batch([SCALAR_PLANT] * 2, [problem, scalar_cluster(windows=6)],
+                          np.ones((2, 1)))
+
+    def test_cluster_stack_needs_equal_window_settings(self):
+        with pytest.raises(DimensionMismatch):
+            collect_batch([SCALAR_PLANT] * 2, [scalar_cluster(), scalar_cluster(windows=6)],
+                          np.ones((2, 1)))
+
 
 class TestOffPolicyPi:
     def test_scalar_converges_to_unit_gain(self):
@@ -365,11 +464,12 @@ class TestOffPolicyPi:
 
 
 def count_batches(monkeypatch):
-    """Count collect_batch calls made by hierarchical_solve."""
+    """Count the batches hierarchical_solve collects: one per problem
+    passed to collect_batch, whether alone or in a stacked call."""
     calls = []
 
     def counted(plant, problem, *args, **kwargs):
-        calls.append(problem)
+        calls.extend(problem if isinstance(problem, list) else [problem])
         return collect_batch(plant, problem, *args, **kwargs)
 
     monkeypatch.setattr(rl, "collect_batch", counted)
@@ -617,3 +717,39 @@ class TestHierarchicalSolve:
         assert info.value.cluster_index == 0
         assert isinstance(info.value.cause, ExcitationDeficient)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("k_bad", [0.0, -40.0], ids=["marginal", "blow-up"])
+    def test_failures_surface_in_index_order(self, rng, monkeypatch, k_bad):
+        # one shape class of four hetero slices: cluster 2's K0 fails the
+        # stacked probe, cluster 3 (zero excitation) fails the stacked
+        # collection; cluster 2 is reported, after clusters 0 and 1
+        from dataclasses import replace
+
+        from hlqr.robust import HeteroModel
+
+        N = 4
+        spec = formation_spec(rng, N)
+        plan = construct_T(spec.G1, spec.G2)
+        assert plan.r == N
+        model = HeteroModel([np.zeros((1, 1))] * N, [np.eye(1)] * N)
+        project = rl.project_problem
+
+        def silent_cluster_3(*args, **kwargs):
+            problems = project(*args, **kwargs)
+            problems[3].excitation = replace(problems[3].excitation, amplitude=0.0)
+            return problems
+
+        monkeypatch.setattr(rl, "project_problem", silent_cluster_3)
+        gains = [np.array([[2.0]])] * N
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, model, HierarchicalConfig(
+                initial_gains=gains[:2] + [np.array([[k_bad]])] + gains[3:]))
+        assert info.value.cluster_index == 2
+        assert isinstance(info.value.cause, K0NotStabilizing)
+        assert [st.index for st in info.value.partial_stats] == [0, 1]
+
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, model, HierarchicalConfig(initial_gains=gains))
+        assert info.value.cluster_index == 3
+        assert isinstance(info.value.cause, ExcitationDeficient)
+        assert [st.index for st in info.value.partial_stats] == [0, 1, 2]

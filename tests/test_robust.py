@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hlqr import matkit, robust
 from hlqr.decomp import LqrSpec, construct_T, kron_lift
@@ -85,6 +86,15 @@ class TestHeteroLift:
             gaps.append(np.linalg.norm(K_learn - K_are))
         assert gaps[0] <= 1e-3
         assert gaps[1] <= 0.05
+
+
+class TestHeteroModel:
+    def test_global_matrices_built_once(self):
+        blocks = [np.array([[-1.0, 0.5], [0.0, -2.0]]), np.array([[-0.5, 0.0], [1.0, -1.0]])]
+        model = HeteroModel(blocks, [np.array([[0.0], [1.0]])] * 2)
+        assert model.A is model.A and model.B is model.B
+        np.testing.assert_array_equal(model.A, sla.block_diag(*blocks))
+        assert model.B.shape == (4, 2)
 
 
 class TestLmiCheck:
