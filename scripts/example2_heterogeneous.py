@@ -21,8 +21,7 @@ def main():
 
     gaps = []
     for seed in args.seeds:
-        config = BenchConfig(N=args.n, seed=seed, hetero=args.hetero,
-                             mode="heterogeneous", out=args.out)
+        config = BenchConfig(N=args.n, seed=seed, hetero=args.hetero, out=args.out)
         report = run_bench(config)
         print(report.to_csv(), end="")
         mb, hrl = report.rows

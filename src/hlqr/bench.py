@@ -43,7 +43,6 @@ class BenchConfig:
     N: int
     seed: int
     hetero: float = 0.0
-    mode: str = "homogeneous"
     solvers: tuple[str, ...] = ("model-based", "hierarchical-rl")
     timeout_s: float = 300.0
     out: str | None = None
@@ -53,11 +52,14 @@ class BenchConfig:
             raise PreconditionFailed("N must be >= 2")
         if not 0.0 <= self.hetero <= 0.9:
             raise PreconditionFailed("hetero must be within [0, 0.9]")
-        if self.mode not in ("homogeneous", "heterogeneous"):
-            raise PreconditionFailed(f"unknown mode {self.mode!r}")
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise PreconditionFailed(f"unknown solvers {sorted(unknown)}")
+
+    @property
+    def mode(self) -> str:
+        """Heterogeneous exactly when the agents are perturbed."""
+        return "heterogeneous" if self.hetero > 0 else "homogeneous"
 
 
 @dataclass(eq=False)

@@ -125,7 +125,6 @@ def cmd_bench(args) -> int:
         N=args.n,
         seed=args.seed,
         hetero=args.hetero,
-        mode="heterogeneous" if args.hetero > 0 else "homogeneous",
         solvers=tuple(args.solvers.split(",")),
         timeout_s=args.timeout_s,
         out=args.out,

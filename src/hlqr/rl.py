@@ -12,20 +12,20 @@ per cluster: with identical agents and equal initial gains, every cluster
 of a given size learns from the same batch. Each cluster still runs its
 own regression and its own final decay probe.
 
-The clusters are decoupled, so those with A/B plants and equal
-dimensions (a shape class) are rolled out together: ``simulate``,
-``empirical_abscissa`` and ``collect_batch`` take a leading cluster axis,
-and the hierarchical solve makes one stacked K0 probe and one stacked
-collection per class, each cluster under its own excitation seed. The
-time of a stacked phase is split evenly over the clusters in it (their
-``ClusterStats.wall_ms``). Callable plants are rolled out one cluster at
-a time.
+The clusters are decoupled, so those of equal dimensions (a shape class)
+are rolled out together: ``simulate``, ``empirical_abscissa`` and
+``collect_batch`` take a leading cluster axis, and the hierarchical solve
+makes one stacked K0 probe and one stacked collection per class, each
+cluster under its own excitation seed. The time of a stacked phase is
+split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
 
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
-step of 1e-2. A plant given by A/B matrices advances by the RK4 step map,
-which is precomputed once per rollout from the same RK4 body; a callable
-plant is evaluated at every stage. Both are the same RK4 up to round-off.
+step of 1e-2. Every plant advances by its RK4 step map, which is read off
+the one RK4 body once per rollout: from A/B matrices, or by evaluating a
+black-box callable on unit states and inputs. A callable plant must
+therefore be linear and time-invariant, as the decay probe and the
+integral policy-iteration regression already assume.
 """
 
 from __future__ import annotations
@@ -108,9 +108,13 @@ def _excitation_samples(excitation, input_dim: int, times: np.ndarray) -> np.nda
     return np.vstack(rows)
 
 
-def _as_dynamics(plants, state_dim: int, input_dim: int):
-    """Normalize r plants to stacked (A, B) matrices of shapes (r, n, n)
-    and (r, n, m), or to a list of derivative callables."""
+def _closed_loop(plants, K: np.ndarray, dim: int, m: int):
+    """Closed-loop derivative g(x, e) = f(x, e - K x) of r plants, each
+    with its gain from the (r, m, dim) stack ``K``, for an (r, k, dim)
+    stack of states and inputs that broadcast to (r, k, m).
+
+    A/B plants are stacked into (A - BK)' and B'; a derivative callable
+    f(x, u) is applied to one state at a time."""
     has_ab = [hasattr(p, "A") and hasattr(p, "B") for p in plants]
     if all(has_ab):
         try:
@@ -119,17 +123,33 @@ def _as_dynamics(plants, state_dim: int, input_dim: int):
         except ValueError:
             A = B = None
         r = len(plants)
-        if (A is None or A.shape != (r, state_dim, state_dim)
-                or B.shape != (r, state_dim, input_dim)):
+        if A is None or A.shape != (r, dim, dim) or B.shape != (r, dim, m):
             raise DimensionMismatch("plant dimensions do not match state/policy")
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise PreconditionFailed("plant.A or plant.B has non-finite entries")
-        return A, B
+        Acl_t, B_t = (A - B @ K).swapaxes(1, 2), B.swapaxes(1, 2)
+
+        def g(x, e):
+            return x @ Acl_t + e @ B_t
+        return g
     if any(has_ab):
         raise PreconditionFailed("a cluster stack cannot mix A/B and callable plants")
-    if all(callable(p) for p in plants):
-        return list(plants)
-    raise PreconditionFailed("plant must expose A/B or be a derivative callable f(x, u)")
+    if not all(callable(p) for p in plants):
+        raise PreconditionFailed("plant must expose A/B or be a derivative callable f(x, u)")
+    K_t = K.swapaxes(1, 2)
+
+    def g(x, e):
+        u = e - x @ K_t
+        dx = np.stack([
+            np.stack([np.asarray(f(xi, ui), dtype=float).ravel()
+                      for xi, ui in zip(xc, uc)])
+            for f, xc, uc in zip(plants, x, u)
+        ])
+        if dx.shape != x.shape:
+            raise DimensionMismatch(
+                f"plant derivative has {dx.shape[-1]} entries, state dim is {dim}")
+        return dx
+    return g
 
 
 def _is_stack(plant) -> bool:
@@ -142,7 +162,7 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     """Fixed-step classic 4th-order Runge-Kutta rollout of the closed loop
     u = -K x + e(t).
 
-    ``plant`` is either an object with A/B matrices or a black-box
+    ``plant`` is either an object with A/B matrices or a black-box linear
     derivative callable f(x, u), which is applied to one state at a time.
     ``x0`` is one initial state, or a (k, dim) stack of them rolled out
     together under the same excitation; ``x`` and ``u`` of the trajectory
@@ -161,12 +181,13 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     blow-up names the clusters whose states blew up in its ``clusters``.
     A single plant is the r = 1 case.
 
-    For A/B matrices one step with half-step excitation is the linear map
+    One step with half-step excitation is the linear map
     x+ = Phi x + G0 e0 + G1 e1 + G2 e2. Phi and the G's are read off the
-    RK4 body once per call, the forcing of all steps is formed in three
-    products before the loop, and each step is one (stacked) matrix
-    product. A callable plant is evaluated at each of the four stages of
-    every step. Both paths compute the same RK4 step up to round-off.
+    RK4 body once per call by applying it to unit states and inputs, the
+    forcing of all steps is formed in three products before the loop, and
+    each step is one (stacked) matrix product. A callable plant is thus
+    evaluated 4 (dim + 3m) times per cluster and call, whatever the
+    horizon, and must be linear and time-invariant.
     """
     if dt <= 0:
         raise PreconditionFailed("dt must be positive")
@@ -204,28 +225,7 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
          else np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
                        axis=1)[:, :, None])
     K_t = K.swapaxes(1, 2)
-
-    dyn = _as_dynamics(plants, dim, m)
-    matrix = isinstance(dyn, tuple)
-    if matrix:
-        A, B = dyn
-        Acl_t, B_t = (A - B @ K).swapaxes(1, 2), B.swapaxes(1, 2)
-
-        def g(x, e):
-            return x @ Acl_t + e @ B_t
-    else:
-        def g(x, e):
-            u = e - x @ K_t
-            dx = np.stack([
-                np.stack([np.asarray(f(xi, ui), dtype=float).ravel()
-                          for xi, ui in zip(xc, uc)])
-                for f, xc, uc in zip(dyn, x, u)
-            ])
-            if dx.shape != x.shape:
-                raise DimensionMismatch(
-                    f"plant derivative has {dx.shape[-1]} entries, state dim is {dim}")
-            return dx
-
+    g = _closed_loop(plants, K, dim, m)
     half = 0.5 * dt
 
     def rk4(x, e0, e1, e2):
@@ -238,36 +238,27 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     X = np.empty((steps + 1,) + x.shape)
     X[0] = x
     bound = STATE_BLOWUP_NORM**2
-    # a stage state that turns inf makes NaN in g; the step check raises
+    # a map or state that turns inf makes NaN; the step check raises
     with np.errstate(invalid="ignore", over="ignore"):
-        if matrix:
-            # one step is linear in the state and the three stage inputs,
-            # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2'; each map is the RK4
-            # body applied to unit rows, one (r, ., dim) stack per cluster
-            no_input = np.zeros((1, m))
-            Phi_t = rk4(np.eye(dim), no_input, no_input, no_input)
-            if unforced:
-                def step(x, k, out):
-                    return np.matmul(x, Phi_t, out=out)
-            else:
-                eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((m, dim))
-                Er = E[:, :, 0].transpose(1, 0, 2)             # (r, 2 steps + 1, m)
-                F = (Er[:, 0:-1:2] @ rk4(no_state, eye, zero, zero)
-                     + Er[:, 1::2] @ rk4(no_state, zero, eye, zero)
-                     + Er[:, 2::2] @ rk4(no_state, zero, zero, eye))
-                F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
-
-                def step(x, k, out):
-                    np.matmul(x, Phi_t, out=out)
-                    out += F[k]
-                    return out
-        else:
-            def step(x, k, out):
-                out[...] = rk4(x, E[2 * k], E[2 * k + 1], E[2 * k + 2])
-                return out
+        # one step is linear in the state and the three stage inputs,
+        # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2'; each map is the RK4 body
+        # applied to unit rows, one (r, ., dim) stack per cluster
+        no_input = np.zeros((1, m))
+        Phi_t = rk4(np.broadcast_to(np.eye(dim), (r, dim, dim)),
+                    no_input, no_input, no_input)
+        F = None
+        if not unforced:
+            eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((r, m, dim))
+            Er = E[:, :, 0].transpose(1, 0, 2)             # (r, 2 steps + 1, m)
+            F = (Er[:, 0:-1:2] @ rk4(no_state, eye, zero, zero)
+                 + Er[:, 1::2] @ rk4(no_state, zero, eye, zero)
+                 + Er[:, 2::2] @ rk4(no_state, zero, zero, eye))
+            F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
         # each step writes the next state straight into its trajectory row
         for k in range(steps):
-            x = step(x, k, X[k + 1])
+            x = np.matmul(x, Phi_t, out=X[k + 1])
+            if F is not None:
+                x += F[k]
             # false for NaN, for inf and for a norm above the blow-up bound;
             # the whole stack's squared norm bounds each row's, so rows are
             # checked one by one only when it fails
@@ -605,25 +596,16 @@ class ClusterStats:
     batch_of: int
 
 
-def _embedded_cluster(f_global, plan: DecompositionPlan, spec: LqrSpec, i: int):
-    """Black-box cluster dynamics from a black-box global plant: embed the
-    cluster state/input into transformed coordinates with zeros elsewhere,
-    evaluate the plant, and slice the cluster rows back out."""
-    n, m = spec.n, spec.m
-    off = plan.offsets()[i]
-    size = plan.cluster_sizes[i]
-    Tn = kron_lift(plan.T, n)
-    Tm = kron_lift(plan.T, m)
-    rows = slice(n * off, n * (off + size))
-    in_rows = slice(m * off, m * (off + size))
+def _embedded_cluster(f_global, Tn_rows: np.ndarray, Tm_rows: np.ndarray):
+    """Black-box cluster dynamics from a black-box global plant: map the
+    cluster state/input back to agent coordinates (the transformed state
+    is zero outside the cluster), evaluate the plant, and keep the cluster
+    rows of the transformed derivative. ``Tn_rows`` and ``Tm_rows`` are
+    the cluster's rows of the state and input lifts."""
 
     def dyn(xi, v):
-        x_full = np.zeros(Tn.shape[0])
-        x_full[rows] = xi
-        u_full = np.zeros(Tm.shape[0])
-        u_full[in_rows] = v
-        dx = np.asarray(f_global(Tn.T @ x_full, Tm.T @ u_full), dtype=float).ravel()
-        return (Tn @ dx)[rows]
+        dx = np.asarray(f_global(xi @ Tn_rows, v @ Tm_rows), dtype=float).ravel()
+        return Tn_rows @ dx
 
     return dyn
 
@@ -635,11 +617,17 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
     For a global model the cluster plant is the corresponding diagonal
     block of the transformed dynamics (exact for homogeneous plants, the
     block-diagonal approximation otherwise). For an agent model, clusters
-    of equal size share one plant object, I_s (x) (A, B).
+    of equal size share one plant object, I_s (x) (A, B). The closures
+    of a black-box plant share one state lift and one input lift.
     """
     n, m, N = spec.n, spec.m, spec.N
     if callable(plant) and not hasattr(plant, "A"):
-        return [_embedded_cluster(plant, plan, spec, i) for i in range(plan.r)]
+        Tn = kron_lift(plan.T, n)
+        Tm = kron_lift(plan.T, m)
+        return [
+            _embedded_cluster(plant, Tn[n * off:n * (off + s)], Tm[m * off:m * (off + s)])
+            for off, s in zip(plan.offsets(), plan.cluster_sizes)
+        ]
     A = matkit.require_square(plant.A, "plant.A")
     B = matkit.as_matrix(plant.B, "plant.B")
     if A.shape == (n, n) and B.shape == (n, m):
@@ -674,16 +662,14 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     identical clusters of an agent model share a plant object (see
     ``cluster_plants``).
 
-    The clusters that collect form shape classes: those with A/B plants
-    and equal state and input dimensions (and window settings) share one,
-    and each cluster with a callable plant is a class of its own. Each
-    class gets one stacked ``empirical_abscissa`` probe of its initial
-    gains and one stacked ``collect_batch`` over the clusters that pass
-    it, so its clusters advance together in every window; each keeps its
-    own excitation seed, window integrals and rank check. Grouping reads
-    only the problems' dimensions and whether a plant exposes A/B, never
-    plant matrices. The time of a class's probe and collection is split
-    evenly over its clusters' ``wall_ms``.
+    The clusters that collect form shape classes: those with equal state
+    and input dimensions and window settings share one. Each class gets
+    one stacked ``empirical_abscissa`` probe of its initial gains and one
+    stacked ``collect_batch`` over the clusters that pass it, so its
+    clusters advance together in every window; each keeps its own
+    excitation seed, window integrals and rank check. Grouping reads only
+    the problems' dimensions, never plant matrices. The time of a class's
+    probe and collection is split evenly over its clusters' ``wall_ms``.
 
     Then, in index order, every cluster runs off-policy policy iteration
     with its own weights and a final decay probe. The global gain is
@@ -707,26 +693,23 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
         problem.initial_gain = matkit.as_matrix(gain, "initial gain")
     plants = cluster_plants(plant_access, plan, spec)
 
-    # batch groups: the first cluster of each collects for all of it
-    leaders: list[int] = []
+    # shape classes of the clusters that collect; a cluster whose plant
+    # object and K0 equal an earlier member's learns from that one's batch
+    classes: dict[tuple, list[int]] = {}
     batch_of: list[int] = []
     for i, (problem, plant) in enumerate(zip(problems, plants)):
+        key = (problem.state_dim, problem.input_dim, problem.sample_interval,
+               problem.window_count)
+        members = classes.setdefault(key, [])
         lead = next(
-            (j for j in leaders
+            (j for j in members
              if plants[j] is plant and np.array_equal(problems[j].initial_gain,
                                                       problem.initial_gain)),
             i,
         )
         if lead == i:
-            leaders.append(i)
+            members.append(i)
         batch_of.append(lead)
-    classes: dict[object, list[int]] = {}
-    for i in leaders:
-        p = problems[i]
-        stackable = hasattr(plants[i], "A") and hasattr(plants[i], "B")
-        key = ((p.state_dim, p.input_dim, p.sample_interval, p.window_count)
-               if stackable else ("callable", i))
-        classes.setdefault(key, []).append(i)
 
     # one stacked K0 probe and one stacked collection per class; each
     # collecting cluster ends with a batch or the error that stopped it

@@ -99,10 +99,6 @@ class PerformanceBound:
 
 @dataclass(eq=False)
 class RobustReport:
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-    a_hat: np.ndarray
-    p_hat: np.ndarray
     lmi_max_eig: float
     small_gain_lhs: float | None
     small_gain_rhs: float | None
@@ -414,10 +410,6 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
         matkit.spectral_abscissa(model.A - model.B @ deployed) < 0
     )
     return RobustReport(
-        a_tilde=Atilde,
-        b_tilde=Btilde,
-        a_hat=a_hat,
-        p_hat=p_hat,
         lmi_max_eig=lmi_max,
         small_gain_lhs=lhs,
         small_gain_rhs=rhs,

@@ -357,7 +357,7 @@ def test_criterion_7_heterogeneous_benchmark():
     t0 = time.perf_counter()
     gaps, stable_flags = [], []
     for seed in range(100, 110):
-        config = BenchConfig(N=100, seed=seed, hetero=0.5, mode="heterogeneous")
+        config = BenchConfig(N=100, seed=seed, hetero=0.5)
         rep = run_bench(config)
         mb, hrl = rep.rows
         assert mb.status == "ok" and hrl.status == "ok"

