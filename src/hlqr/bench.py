@@ -164,7 +164,7 @@ def build_example(config: BenchConfig):
         Q0=np.eye(n),
         R0=np.eye(m),
     )
-    if config.mode == "heterogeneous":
+    if config.hetero > 0:
         cs = 1.0 + rng.uniform(-config.hetero, config.hetero, config.N)
         ms = 1.0 + rng.uniform(-config.hetero, config.hetero, config.N)
     else:
@@ -208,13 +208,6 @@ def derive_initial_gain(A, B, seed: int, perturbation: float = 0.1,
     raise GenerationFailed("no stabilizing Riccati gain on any perturbation draw")
 
 
-def _global_model(spec: LqrSpec, model: HeteroModel,
-                  mode: str) -> AgentModel | HeteroModel:
-    if mode == "homogeneous":
-        return AgentModel(model.A_blocks[0], model.B_blocks[0])
-    return model
-
-
 def _run_model_based(spec, model, x0):
     t0 = time.perf_counter()
     P, K = matkit.solve_are(model.A, model.B, spec.Q, spec.R)
@@ -224,7 +217,7 @@ def _run_model_based(spec, model, x0):
 
 
 def _run_hierarchical(config, spec, model, x0):
-    plant = _global_model(spec, model, config.mode)
+    plant = AgentModel(model.A_blocks[0], model.B_blocks[0]) if config.hetero == 0 else model
     A_nom, B_nom = _point_mass_agent(1.0, 1.0)
     t0 = time.perf_counter()
     plan = construct_T(spec.G1, spec.G2)

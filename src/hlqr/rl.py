@@ -8,24 +8,22 @@ matrices; cluster plants are exposed to it as simulation targets only.
 
 The recorded data do not depend on a cluster's weights, so learning costs
 one K0 probe and one batch per distinct (cluster plant, K0) pair, not one
-per cluster: with identical agents and equal initial gains, every cluster
-of a given size learns from the same batch. Each cluster still runs its
-own regression and its own final decay probe.
-
-The clusters are decoupled, so those of equal dimensions (a shape class)
-are rolled out together: ``simulate``, ``empirical_abscissa`` and
-``collect_batch`` take a leading cluster axis, and the hierarchical solve
-makes one stacked K0 probe and one stacked collection per class, each
-cluster under its own excitation seed. The time of a stacked phase is
-split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
+per cluster. The clusters are decoupled, so those of equal dimensions (a
+shape class) are handled together: ``simulate``, ``empirical_abscissa``
+and ``collect_batch`` take a leading cluster axis, and the hierarchical
+solve makes one stacked K0 probe and one stacked collection per class,
+each cluster under its own excitation seed. Each cluster still runs its
+own regression and its own final decay probe. The time of a stacked phase
+is split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
 
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
 step of 1e-2. Every plant advances by its RK4 step map, which is read off
 the one RK4 body once per rollout: from A/B matrices, or by evaluating a
-black-box callable on unit states and inputs. A callable plant must
-therefore be linear and time-invariant, as the decay probe and the
-integral policy-iteration regression already assume.
+black-box callable on unit states and inputs. The decay probe is the
+horizon power of the step map, with no rollout. A callable plant must
+therefore be linear and time-invariant (checked at one point), as the
+integral policy-iteration regression already assumes.
 """
 
 from __future__ import annotations
@@ -62,6 +60,8 @@ from .errors import (
 from .lqr import AgentModel, assemble_gain
 
 STATE_BLOWUP_NORM = 1e12
+PROBE_DT = 1e-2
+PROBE_HORIZON = 1.0
 REGRESSION_COND_LIMIT = 1e10
 PI_TOL = 1e-8
 PI_MAX_ITER = 50
@@ -114,7 +114,9 @@ def _closed_loop(plants, K: np.ndarray, dim: int, m: int):
     stack of states and inputs that broadcast to (r, k, m).
 
     A/B plants are stacked into (A - BK)' and B'; a derivative callable
-    f(x, u) is applied to one state at a time."""
+    f(x, u) is applied to one state at a time. Linear code meets f(0, 0) = 0
+    and f(2z) = 2 f(z) exactly, so a finite violation at one seeded random
+    z = (x, u) raises ``PreconditionFailed``."""
     has_ab = [hasattr(p, "A") and hasattr(p, "B") for p in plants]
     if all(has_ab):
         try:
@@ -136,6 +138,14 @@ def _closed_loop(plants, K: np.ndarray, dim: int, m: int):
         raise PreconditionFailed("a cluster stack cannot mix A/B and callable plants")
     if not all(callable(p) for p in plants):
         raise PreconditionFailed("plant must expose A/B or be a derivative callable f(x, u)")
+    z = np.random.default_rng(0).standard_normal(dim + m)
+    for f in plants:
+        f0, f1, f2 = (np.asarray(f(c * z[:dim], c * z[dim:]), dtype=float).ravel()
+                      for c in (0.0, 1.0, 2.0))
+        if (f0.size == f1.size == f2.size == dim and np.isfinite([f0, f1, f2]).all()
+                and (f0.any() or not np.array_equal(f2, 2.0 * f1))):
+            raise PreconditionFailed(
+                "plant callable is not linear: f(0, 0) != 0 or f(2z) != 2 f(z)")
     K_t = K.swapaxes(1, 2)
 
     def g(x, e):
@@ -157,74 +167,26 @@ def _is_stack(plant) -> bool:
     return isinstance(plant, (list, tuple))
 
 
-def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
-             t0: float = 0.0) -> Trajectory:
-    """Fixed-step classic 4th-order Runge-Kutta rollout of the closed loop
-    u = -K x + e(t).
-
-    ``plant`` is either an object with A/B matrices or a black-box linear
-    derivative callable f(x, u), which is applied to one state at a time.
-    ``x0`` is one initial state, or a (k, dim) stack of them rolled out
-    together under the same excitation; ``x`` and ``u`` of the trajectory
-    then carry the row axis second, shaped (steps + 1, k, dim) and
-    (steps + 1, k, m). The exploration signal is sampled on the half-step
-    grid so each integrator stage sees e at its own time. Deterministic
-    for a given excitation seed. Raises ``NonFinite`` if any state turns
-    NaN or inf or its norm exceeds 1e12, and ``DimensionMismatch`` if the
-    excitation or a callable plant returns the wrong number of values.
-
-    A list of r plants of equal dimensions adds a leading cluster axis:
-    ``policy`` then holds r gains, ``excitation`` is None or a list of r
-    excitations, and ``x0`` is an (r, dim) or (r, k, dim) stack; the
-    trajectory carries the cluster axis second, before any row axis. The
-    clusters advance together and never mix, and the ``NonFinite`` of a
-    blow-up names the clusters whose states blew up in its ``clusters``.
-    A single plant is the r = 1 case.
-
-    One step with half-step excitation is the linear map
-    x+ = Phi x + G0 e0 + G1 e1 + G2 e2. Phi and the G's are read off the
-    RK4 body once per call by applying it to unit states and inputs, the
-    forcing of all steps is formed in three products before the loop, and
-    each step is one (stacked) matrix product. A callable plant is thus
-    evaluated 4 (dim + 3m) times per cluster and call, whatever the
-    horizon, and must be linear and time-invariant.
-    """
-    if dt <= 0:
-        raise PreconditionFailed("dt must be positive")
-    if horizon < dt:
-        raise PreconditionFailed("horizon must be at least one step")
+def _plants_and_gains(plant, policy):
+    """The list of plants, their finite (r, m, dim) gain stack and whether
+    ``plant`` was a list (a single plant is the r = 1 case)."""
     clustered = _is_stack(plant)
     plants = list(plant) if clustered else [plant]
-    r = len(plants)
-    if clustered:
-        K = np.asarray(policy, dtype=float)
-        excitations = [None] * r if excitation is None else list(excitation)
-        if K.ndim != 3 or K.shape[0] != r or len(excitations) != r:
-            raise DimensionMismatch("need one gain and one excitation per cluster plant")
-        if not np.all(np.isfinite(K)):
-            raise PreconditionFailed("policy has non-finite entries")
-    else:
-        K = matkit.as_matrix(policy, "policy")[None]
-        excitations = [excitation]
-    x = np.asarray(x0, dtype=float)
-    if not clustered:
-        x = x[None]
-    rows = x.ndim == 3
-    if x.ndim == 2:
-        x = x[:, None]
-    if x.ndim != 3 or x.shape[0] != r:
-        raise DimensionMismatch(f"initial states of shape {np.shape(x0)} for {r} plant(s)")
-    dim, m = x.shape[2], K.shape[1]
-    if K.shape[2] != dim:
-        raise DimensionMismatch(f"policy is {K.shape[1:]}, state dim is {dim}")
-    steps = int(round(horizon / dt))
-    stage_times = t0 + 0.5 * dt * np.arange(2 * steps + 1)
-    # (2 steps + 1, r, 1, m): broadcasts over the rows of each cluster
-    unforced = all(e is None for e in excitations)
-    E = (np.zeros((stage_times.size, r, 1, m)) if unforced
-         else np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
-                       axis=1)[:, :, None])
-    K_t = K.swapaxes(1, 2)
+    K = (np.asarray(policy, dtype=float) if clustered
+         else matkit.as_matrix(policy, "policy")[None])
+    if K.ndim != 3 or K.shape[0] != len(plants):
+        raise DimensionMismatch("need one gain per cluster plant")
+    if not np.all(np.isfinite(K)):
+        raise PreconditionFailed("policy has non-finite entries")
+    return plants, K, clustered
+
+
+def _step_maps(plants, K: np.ndarray, dim: int, m: int, dt: float, forced: bool):
+    """One RK4 step with half-step excitation is the linear map
+    x+ = Phi x + G0 e0 + G1 e1 + G2 e2. Returns Phi' as an (r, dim, dim)
+    stack and, when ``forced``, (G0', G1', G2') as (r, m, dim) stacks
+    (else None), each read off the RK4 body applied to unit states or
+    inputs under the (r, m, dim) gains ``K``."""
     g = _closed_loop(plants, K, dim, m)
     half = 0.5 * dt
 
@@ -235,24 +197,76 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
         k4 = g(x + dt * k3, e2)
         return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-    X = np.empty((steps + 1,) + x.shape)
-    X[0] = x
+    r = len(plants)
+    no_input = np.zeros((1, m))
+    Phi_t = rk4(np.broadcast_to(np.eye(dim), (r, dim, dim)), no_input, no_input, no_input)
+    if not forced:
+        return Phi_t, None
+    eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((r, m, dim))
+    return Phi_t, (rk4(no_state, eye, zero, zero), rk4(no_state, zero, eye, zero),
+                   rk4(no_state, zero, zero, eye))
+
+
+def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
+             t0: float = 0.0) -> Trajectory:
+    """Fixed-step classic 4th-order Runge-Kutta rollout of the closed loop
+    u = -K x + e(t).
+
+    ``plant`` is either an object with A/B matrices or a black-box linear
+    derivative callable f(x, u), which is applied to one state at a time.
+    ``x0`` is one initial state. The exploration signal is sampled on the
+    half-step grid so each integrator stage sees e at its own time.
+    Deterministic for a given excitation seed. Raises ``NonFinite`` if any
+    state turns NaN or inf or its norm exceeds 1e12, and
+    ``DimensionMismatch`` if ``x0`` has the wrong shape or the excitation
+    or a callable plant returns the wrong number of values.
+
+    A list of r plants of equal dimensions adds a leading cluster axis:
+    ``policy`` then holds r gains, ``excitation`` is None or a list of r
+    excitations, and ``x0`` is an (r, dim) stack; the trajectory carries
+    the cluster axis second. The clusters advance together and never mix,
+    and the ``NonFinite`` of a blow-up names the clusters whose states
+    blew up in its ``clusters``. A single plant is the r = 1 case.
+
+    The step maps are read once per call, so a step is one (stacked)
+    matrix product and a callable plant is evaluated 4 (dim + 3m) + 3
+    times per cluster and call, whatever the horizon. The decay probe takes
+    the horizon power of the same unforced map instead of a rollout.
+    """
+    if dt <= 0:
+        raise PreconditionFailed("dt must be positive")
+    if horizon < dt:
+        raise PreconditionFailed("horizon must be at least one step")
+    plants, K, clustered = _plants_and_gains(plant, policy)
+    r = len(plants)
+    excitations = (list(excitation) if clustered and excitation is not None
+                   else [excitation] * r)
+    if len(excitations) != r:
+        raise DimensionMismatch("need one excitation per cluster plant")
+    x = np.asarray(x0 if clustered else [x0], dtype=float)
+    if x.ndim != 2 or x.shape[0] != r:
+        raise DimensionMismatch(f"initial states of shape {np.shape(x0)} for {r} plant(s)")
+    dim, m = x.shape[1], K.shape[1]
+    if K.shape[2] != dim:
+        raise DimensionMismatch(f"policy is {K.shape[1:]}, state dim is {dim}")
+    steps = int(round(horizon / dt))
+    stage_times = t0 + 0.5 * dt * np.arange(2 * steps + 1)
+    E = np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
+                 axis=1)                                   # (2 steps + 1, r, m)
+    # each cluster's state is a (1, dim) row of the (r, 1, dim) stack
+    X = np.empty((steps + 1, r, 1, dim))
+    X[0] = x[:, None]
+    x = X[0]
     bound = STATE_BLOWUP_NORM**2
     # a map or state that turns inf makes NaN; the step check raises
     with np.errstate(invalid="ignore", over="ignore"):
-        # one step is linear in the state and the three stage inputs,
-        # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2'; each map is the RK4 body
-        # applied to unit rows, one (r, ., dim) stack per cluster
-        no_input = np.zeros((1, m))
-        Phi_t = rk4(np.broadcast_to(np.eye(dim), (r, dim, dim)),
-                    no_input, no_input, no_input)
+        # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2', one (r, ., dim) map per cluster
+        Phi_t, G_t = _step_maps(plants, K, dim, m, dt,
+                                forced=any(e is not None for e in excitations))
         F = None
-        if not unforced:
-            eye, zero, no_state = np.eye(m), np.zeros((m, m)), np.zeros((r, m, dim))
-            Er = E[:, :, 0].transpose(1, 0, 2)             # (r, 2 steps + 1, m)
-            F = (Er[:, 0:-1:2] @ rk4(no_state, eye, zero, zero)
-                 + Er[:, 1::2] @ rk4(no_state, zero, eye, zero)
-                 + Er[:, 2::2] @ rk4(no_state, zero, zero, eye))
+        if G_t is not None:
+            Er = E.transpose(1, 0, 2)                       # (r, 2 steps + 1, m)
+            F = Er[:, 0:-1:2] @ G_t[0] + Er[:, 1::2] @ G_t[1] + Er[:, 2::2] @ G_t[2]
             F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
         # each step writes the next state straight into its trajectory row
         for k in range(steps):
@@ -260,17 +274,14 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
             if F is not None:
                 x += F[k]
             # false for NaN, for inf and for a norm above the blow-up bound;
-            # the whole stack's squared norm bounds each row's, so rows are
-            # checked one by one only when it fails
+            # the whole stack's squared norm bounds each cluster's, so
+            # clusters are checked one by one only when it fails
             if not np.vdot(x, x) <= bound:
-                norms = np.einsum("rki,rki->rk", x, x)
-                if not np.max(norms) <= bound:
-                    blown = np.flatnonzero(~np.all(norms <= bound, axis=1))
+                blown = np.flatnonzero(~(np.einsum("rki,rki->r", x, x) <= bound))
+                if blown.size:
                     raise NonFinite(f"state blew up at step {k + 1}", clusters=blown)
-    if not rows:
-        X = X[:, :, 0]
-    feedback = X.swapaxes(0, 1) @ (K_t[:, None] if rows else K_t)
-    U = (E[::2] if rows else E[::2, :, 0]) - feedback.swapaxes(0, 1)
+    X = X[:, :, 0]
+    U = E[::2] - (X.swapaxes(0, 1) @ K.swapaxes(1, 2)).swapaxes(0, 1)
     if not clustered:
         X, U = X[:, 0], U[:, 0]
     t = t0 + dt * np.arange(steps + 1)
@@ -300,39 +311,29 @@ def _drop_blowups(rollout, count: int):
     return live, None, failed
 
 
-def empirical_abscissa(plant, gain, dim: int, dt: float = 1e-2,
-                       horizon: float = 1.0) -> float | np.ndarray:
-    """Closed-loop spectral abscissa estimated from black-box rollouts.
+def empirical_abscissa(plant, gain) -> float | np.ndarray:
+    """Closed-loop spectral abscissa estimated from the black-box step map.
 
-    Integrates all unit initial conditions under u = -K x in one stacked
-    rollout and eigen-analyzes the resulting one-horizon transition
-    matrix; never reads plant matrices directly. A rollout that blows up
-    gives ``inf``.
+    The transition matrix over ``PROBE_HORIZON`` under u = -K x is the
+    horizon power of the RK4 step map at ``PROBE_DT``, with no rollout and
+    no read of plant matrices; it gives log(spectral radius) / horizon, or
+    ``inf`` when it is non-finite or its Frobenius norm exceeds 1e12.
 
-    A list of r plants with an (r, m, dim) stack of gains is probed in one
-    rollout over the cluster axis and gives an array of r abscissas; a
-    cluster that blows up gets ``inf`` and the others are probed again
-    without it.
+    A list of r plants with an (r, m, dim) stack of gains gives an array of
+    r abscissas; clusters never mix, so a blown one leaves the others as
+    they are.
     """
-    clustered = _is_stack(plant)
-    plants = list(plant) if clustered else [plant]
-    gains = (np.asarray(gain, dtype=float) if clustered
-             else matkit.as_matrix(gain, "policy")[None])
-    r = len(plants)
-    eyes = np.broadcast_to(np.eye(dim), (r, dim, dim))
-
-    def rollout(live):
-        rows = live if len(live) < r else slice(None)
-        traj = simulate([plants[i] for i in live], gains[rows], None, eyes[rows],
-                        dt, horizon)
-        return traj.x[-1].swapaxes(1, 2)
-
-    live, M, _ = _drop_blowups(rollout, r)
-    out = np.full(r, np.inf)
-    if live:
-        # log(0) = -inf: a transition map that annihilates every state
-        with np.errstate(divide="ignore"):
-            out[live] = np.log(np.abs(np.linalg.eigvals(M)).max(axis=1)) / horizon
+    plants, gains, clustered = _plants_and_gains(plant, gain)
+    m, dim = gains.shape[1:]
+    out = np.full(len(plants), np.inf)
+    # a map that overflows makes inf or NaN and is caught by the norm test;
+    # log(0) = -inf: a transition map that annihilates every state
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        Phi_t, _ = _step_maps(plants, gains, dim, m, PROBE_DT, forced=False)
+        M = np.linalg.matrix_power(Phi_t, round(PROBE_HORIZON / PROBE_DT))
+        ok = np.linalg.norm(M, axis=(1, 2)) <= STATE_BLOWUP_NORM
+        if ok.any():
+            out[ok] = np.log(np.abs(np.linalg.eigvals(M[ok])).max(axis=1)) / PROBE_HORIZON
     return out if clustered else float(out[0])
 
 
@@ -399,13 +400,10 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
 
     Before anything is allocated, the bytes that collection and the
     regression will certainly need (``decomp.regression_bytes``) are
-    compared with the host's physical memory; a problem that cannot fit
-    raises ``BudgetExceeded``, with or without a deadline.
-
-    Raises ``ExcitationDeficient`` when the regression data matrix has
-    numerical rank below the unknown count, and ``BudgetExceeded`` when the
-    memory budget is exceeded or a deadline is given and passed (or
-    provably unreachable).
+    compared with the host's physical memory. Raises ``BudgetExceeded``
+    when they cannot fit, or when a deadline is given and passed (or
+    provably unreachable), and ``ExcitationDeficient`` when the regression
+    data matrix has numerical rank below the unknown count.
 
     A list of r problems with equal dimensions and window settings, with
     ``plant`` the list of their plants and ``x0`` an (r, n) stack, is
@@ -562,7 +560,7 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
         raise MaxIterExceeded(f"no convergence within {PI_MAX_ITER} iterations")
 
     if plant is not None:
-        if empirical_abscissa(plant, K, n) >= 0:
+        if empirical_abscissa(plant, K) >= 0:
             raise NotStabilizing("learned gain failed the empirical decay probe")
     elif float(np.min(np.linalg.eigvalsh(matkit.symmetrize(P)))) <= 0:
         raise NotStabilizing("learned value matrix is not positive definite")
@@ -667,17 +665,18 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     one stacked ``empirical_abscissa`` probe of its initial gains and one
     stacked ``collect_batch`` over the clusters that pass it, so its
     clusters advance together in every window; each keeps its own
-    excitation seed, window integrals and rank check. Grouping reads only
-    the problems' dimensions, never plant matrices. The time of a class's
-    probe and collection is split evenly over its clusters' ``wall_ms``.
+    excitation seed, window integrals and rank check. A probe is the
+    horizon power of the stacked step maps, not a rollout, and grouping
+    reads only the problems' dimensions, never plant matrices. The time of
+    a class's probe and collection is split evenly over its ``wall_ms``.
 
     Then, in index order, every cluster runs off-policy policy iteration
-    with its own weights and a final decay probe. The global gain is
-    reassembled through the plan's transformation. The lowest-index
-    cluster that failed (its probe, its batch or its regression) is
-    re-raised as ``ClusterFailure`` with the stats of every lower-index
-    cluster, as a one-at-a-time solve would; a failed shared probe or
-    batch is tagged with the first cluster of its group.
+    with its own weights and a final decay probe of its learned gain. The
+    global gain is reassembled through the plan's transformation. The
+    lowest-index cluster that failed (its probe, its batch or its
+    regression) is re-raised as ``ClusterFailure`` with the stats of every
+    lower-index cluster, as a one-at-a-time solve would; a failed shared
+    probe or batch is tagged with the first cluster of its group.
 
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
@@ -718,10 +717,9 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     for members in classes.values():
         t0 = time.perf_counter()
         try:
-            nc = problems[members[0]].state_dim
             abscissa = empirical_abscissa(
                 [plants[i] for i in members],
-                np.stack([problems[i].initial_gain for i in members]), nc)
+                np.stack([problems[i].initial_gain for i in members]))
             passed = []
             for i, a in zip(members, abscissa):
                 if a >= 0:
@@ -730,6 +728,7 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
                 else:
                     passed.append(i)
             if passed:
+                nc = problems[members[0]].state_dim
                 outcome.update(zip(passed, collect_batch(
                     [plants[i] for i in passed], [problems[i] for i in passed],
                     np.full((len(passed), nc), 1.0 / np.sqrt(nc)))))

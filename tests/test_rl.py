@@ -144,31 +144,6 @@ class TestSimulate:
         expected = 0.5 * (np.exp(-t) + np.sin(t) - np.cos(t))
         assert np.max(np.abs(traj.x[:, 0] - expected)) < 1e-9
 
-    @pytest.mark.parametrize("kind", ["matrix", "callable"])
-    def test_stacked_rows_match_single_rollouts(self, kind, rng):
-        A = np.array([[0.0, 1.0], [-2.0, -1.0]])
-        B = np.array([[0.0], [1.0]])
-        K = np.array([[0.5, 0.5]])
-        plant = AgentModel(A, B) if kind == "matrix" else (lambda x, u: A @ x + B @ u)
-        exc = ExcitationConfig(seed=3)
-        X0 = rng.standard_normal((3, 2))
-        stacked = simulate(plant, K, exc, X0, 1e-3, 0.5)
-        assert stacked.x.shape == (501, 3, 2) and stacked.u.shape == (501, 3, 1)
-        for j, x0 in enumerate(X0):
-            row = simulate(plant, K, exc, x0, 1e-3, 0.5)
-            scale = np.max(np.abs(row.x))
-            assert np.max(np.abs(stacked.x[:, j] - row.x)) <= 1e-13 * scale
-            assert np.max(np.abs(stacked.u[:, j] - row.u)) <= 1e-13 * np.max(np.abs(row.u))
-        again = simulate(plant, K, exc, X0, 1e-3, 0.5)
-        np.testing.assert_array_equal(again.x, stacked.x)
-        np.testing.assert_array_equal(again.u, stacked.u)
-
-    def test_one_diverging_row_raises(self):
-        # the second row of a diagonal plant grows past 1e12, the first decays
-        plant = AgentModel(np.diag([-1.0, 5.0]), np.zeros((2, 1)))
-        with pytest.raises(NonFinite):
-            simulate(plant, np.zeros((1, 2)), None, np.eye(2), 1e-2, 10.0)
-
     def test_rejects_bad_steps(self):
         with pytest.raises(PreconditionFailed):
             simulate(SCALAR_PLANT, np.eye(1), None, [1.0], -1e-3, 1.0)
@@ -176,7 +151,8 @@ class TestSimulate:
             simulate(SCALAR_PLANT, np.eye(1), None, [1.0], 1e-2, 1e-3)
 
     def test_step_map_is_rk4_stability_polynomial(self):
-        # one unforced step from every unit state is Phi' with
+        # one unforced step of four clusters of one plant, started from the
+        # unit states, stacks Phi e_c as rows: Phi' with
         # Phi = I + M + M^2/2 + M^3/6 + M^4/24, M = dt (A - BK)
         A, B = msd_pair()
         dt = 0.1
@@ -184,13 +160,15 @@ class TestSimulate:
         M2 = M @ M
         M3 = M2 @ M
         Phi = np.eye(4) + M + M2 / 2 + M3 / 6 + M3 @ M / 24
-        traj = simulate(AgentModel(A, B), MSD_GAIN, None, np.eye(4), dt, dt)
+        traj = simulate([AgentModel(A, B)] * 4, np.stack([MSD_GAIN] * 4), None,
+                        np.eye(4), dt, dt)
         assert traj.x.shape == (2, 4, 4)
         assert np.max(np.abs(traj.x[1] - Phi.T)) <= 1e-14 * np.max(np.abs(Phi))
 
     def test_step_map_matches_stagewise_rk4(self, rng):
         # the step map of either plant kind against per-stage derivatives
-        # on a stacked, excited 1000-step rollout
+        # on an excited 1000-step rollout of three clusters of one plant
+        # with equal excitations
         A, B = msd_pair(1.05, 0.97, 1.02)
         exc = ExcitationConfig(seed=5)
         X0 = rng.standard_normal((3, 4))
@@ -200,7 +178,8 @@ class TestSimulate:
         X, E = stagewise_rk4(black_box, MSD_GAIN, exc, X0, 1e-3, 1000)
         U = E[:, None] - X @ MSD_GAIN.T
         for plant in (AgentModel(A, B), black_box):
-            traj = simulate(plant, MSD_GAIN, exc, X0, 1e-3, 1.0)
+            traj = simulate([plant] * 3, np.stack([MSD_GAIN] * 3), [exc] * 3, X0,
+                            1e-3, 1.0)
             assert traj.x.shape == X.shape == (1001, 3, 4)
             np.testing.assert_allclose(traj.x, X, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(X)))
@@ -208,7 +187,8 @@ class TestSimulate:
                                        atol=1e-12 * np.max(np.abs(U)))
 
     def test_callable_evaluated_per_map_entry_not_per_step(self):
-        # the step map costs 4 (dim + 3 m) evaluations, whatever the horizon
+        # the step map costs 4 (dim + 3 m) evaluations and the linearity
+        # check 3, whatever the horizon
         A = np.array([[0.0, 1.0], [-2.0, -1.0]])
         B = np.array([[0.0], [1.0]])
         calls = []
@@ -219,7 +199,18 @@ class TestSimulate:
 
         simulate(plant, np.array([[0.5, 0.5]]), ExcitationConfig(seed=3),
                  np.array([1.0, 0.0]), 1e-3, 1.0)
-        assert 0 < len(calls) <= 4 * (2 + 3 * 1)
+        assert 0 < len(calls) <= 4 * (2 + 3 * 1) + 3
+
+    def test_rejects_affine_callable(self):
+        # x' = -x + 1 from 0 ends at 1 - 1/e, which a step map cannot carry
+        with pytest.raises(PreconditionFailed, match="not linear"):
+            simulate(lambda x, u: -x + 1.0, [[0.0]], None, [0.0], 1e-3, 1.0)
+
+    def test_rejects_nonlinear_callable(self):
+        # x' = -x^3 from 2 ends at 2/3, the step map of its unit states would
+        # give 0.736
+        with pytest.raises(PreconditionFailed, match="not linear"):
+            simulate(lambda x, u: -x**3 + u, [[0.0]], None, [2.0], 1e-3, 1.0)
 
     def test_blowup_step_same_on_both_paths(self):
         messages = []
@@ -240,18 +231,18 @@ class TestSimulate:
             simulate(lambda x, u: np.zeros(3), np.zeros((1, 2)), None,
                      [1.0, 0.0], 1e-3, 0.1)
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["one-state", "row-stack"])
-    def test_cluster_stack_matches_single_rollouts(self, rows, rng):
+    @pytest.mark.parametrize("kind", ["matrix", "callable"])
+    def test_cluster_stack_matches_single_rollouts(self, kind, rng):
         # r heterogeneous clusters, each with its own gain, seed and start
         r = 3
         pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (r, 3))]
-        plants = [AgentModel(A, B) for A, B in pairs]
+        plants = [AgentModel(A, B) if kind == "matrix"
+                  else (lambda x, u, A=A, B=B: A @ x + B @ u) for A, B in pairs]
         gains = MSD_GAIN + 0.05 * rng.standard_normal((r, 2, 4))
         excs = [ExcitationConfig(seed=10 + c) for c in range(r)]
-        X0 = rng.standard_normal((r, 2, 4) if rows else (r, 4))
+        X0 = rng.standard_normal((r, 4))
         stacked = simulate(plants, gains, excs, X0, 1e-3, 0.5)
-        assert stacked.x.shape == (501,) + X0.shape
-        assert stacked.u.shape == (501,) + X0.shape[:-1] + (2,)
+        assert stacked.x.shape == (501, r, 4) and stacked.u.shape == (501, r, 2)
         for c in range(r):
             one = simulate(plants[c], gains[c], excs[c], X0[c], 1e-3, 0.5)
             assert np.max(np.abs(stacked.x[:, c] - one.x)) <= 1e-13 * np.max(np.abs(one.x))
@@ -275,6 +266,10 @@ class TestSimulate:
             simulate(plants, np.ones((3, 1, 1)), None, np.ones((2, 1)), 1e-3, 0.1)
         with pytest.raises(DimensionMismatch):
             simulate(plants, np.ones((2, 1, 1)), None, np.ones((3, 1)), 1e-3, 0.1)
+        with pytest.raises(DimensionMismatch):
+            simulate(plants, np.ones((2, 1, 1)), None, np.ones((2, 3, 1)), 1e-3, 0.1)
+        with pytest.raises(DimensionMismatch):
+            simulate(SCALAR_PLANT, np.ones((1, 1)), None, np.ones((3, 1)), 1e-3, 0.1)
         with pytest.raises(PreconditionFailed):
             simulate([SCALAR_PLANT, lambda x, u: u], np.ones((2, 1, 1)), None,
                      np.ones((2, 1)), 1e-3, 0.1)
@@ -283,12 +278,12 @@ class TestSimulate:
 class TestEmpiricalAbscissa:
     def test_detects_marginal_loop(self):
         # zero dynamics under zero gain neither grows nor decays
-        assert empirical_abscissa(SCALAR_PLANT, np.zeros((1, 1)), 1) >= 0
+        assert empirical_abscissa(SCALAR_PLANT, np.zeros((1, 1))) >= 0
 
     def test_matches_eigenvalue(self):
         plant = AgentModel(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
         K = np.array([[1.0, np.sqrt(3.0)]])
-        est = empirical_abscissa(plant, K, 2)
+        est = empirical_abscissa(plant, K)
         true = matkit.spectral_abscissa(plant.A - plant.B @ K)
         assert abs(est - true) < 1e-3
 
@@ -300,17 +295,51 @@ class TestEmpiricalAbscissa:
         plant = AgentModel(A, B) if kind == "matrix" else (lambda x, u: A @ x + B @ u)
         cols = [simulate(plant, K, None, e, 1e-2, 1.0).x[-1] for e in np.eye(3)]
         rho = np.max(np.abs(np.linalg.eigvals(np.column_stack(cols))))
-        assert abs(empirical_abscissa(plant, K, 3) - np.log(rho)) <= 1e-12
+        assert abs(empirical_abscissa(plant, K) - np.log(rho)) <= 1e-12
 
     def test_cluster_stack_matches_single_probes(self):
         # the third loop blows up within the probe, the second is marginal
         plants = [AgentModel(np.array([[a]]), np.eye(1)) for a in (-1.0, 0.0, 40.0, 2.0)]
         gains = np.array([[[0.5]], [[0.0]], [[0.0]], [[3.0]]])
-        stacked = empirical_abscissa(plants, gains, 1)
+        stacked = empirical_abscissa(plants, gains)
         assert stacked.shape == (4,) and stacked[2] == np.inf
         for c in (0, 1, 3):
-            assert abs(stacked[c] - empirical_abscissa(plants[c], gains[c], 1)) <= 1e-12
+            assert abs(stacked[c] - empirical_abscissa(plants[c], gains[c])) <= 1e-12
         assert stacked[0] < 0 <= stacked[1] and stacked[3] < 0
+
+    def test_transient_peak_within_horizon_is_not_a_blowup(self):
+        # x1' = -50 x1 + c x2, x2' = -50 x2 from x2 = 1 peaks near c/(50e),
+        # past 1e12, and has decayed to ~3e-8 at 1 s: only the transition
+        # matrix over the horizon is judged, and its abscissa is RK4's -50
+        c = 1.4e14
+        plant = AgentModel(np.array([[-50.0, c], [0.0, -50.0]]), np.zeros((2, 1)))
+        est = empirical_abscissa(plant, np.zeros((1, 2)))
+        rk4 = 1 - 0.5 + 0.5**2 / 2 - 0.5**3 / 6 + 0.5**4 / 24   # R(dt * -50)
+        assert abs(est - 100 * np.log(rk4)) <= 1e-9
+
+    def test_blowup_does_not_reprobe_survivors(self):
+        # the second of three callable clusters is x' = 40x; each survivor
+        # is evaluated exactly as often as in a probe of its own: 4 dim for
+        # the step map and 3 for the linearity check
+        A = np.array([[0.0, 1.0], [-2.0, -1.0]])
+        B = np.array([[0.0], [1.0]])
+        calls = [0, 0, 0]
+
+        def counted(c, Ac):
+            def plant(x, u):
+                calls[c] += 1
+                return Ac @ x + B @ u
+            return plant
+
+        plants = [counted(0, A), counted(1, 40.0 * np.eye(2)), counted(2, A - 0.5)]
+        gains = np.array([[[0.5, 0.5]], [[0.0, 0.0]], [[1.0, 1.0]]])
+        stacked = empirical_abscissa(plants, gains)
+        assert stacked[1] == np.inf and stacked[0] < 0 and stacked[2] < 0
+        assert calls == [4 * 2 + 3] * 3
+        for c in (0, 2):
+            calls[c] = 0
+            assert abs(empirical_abscissa(plants[c], gains[c]) - stacked[c]) <= 1e-12
+            assert calls[c] == 4 * 2 + 3
 
 
 class TestCollectBatch:
