@@ -167,12 +167,21 @@ def _is_stack(plant) -> bool:
     return isinstance(plant, (list, tuple))
 
 
+def _as_stack(values, name: str) -> np.ndarray:
+    """``values`` as one float array; a ragged list raises
+    ``DimensionMismatch`` instead of numpy's ``ValueError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{name} do not form one numeric array: {exc}") from exc
+
+
 def _plants_and_gains(plant, policy):
     """The list of plants, their finite (r, m, dim) gain stack and whether
     ``plant`` was a list (a single plant is the r = 1 case)."""
     clustered = _is_stack(plant)
     plants = list(plant) if clustered else [plant]
-    K = (np.asarray(policy, dtype=float) if clustered
+    K = (_as_stack(policy, "cluster gains") if clustered
          else matkit.as_matrix(policy, "policy")[None])
     if K.ndim != 3 or K.shape[0] != len(plants):
         raise DimensionMismatch("need one gain per cluster plant")
@@ -243,7 +252,7 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
                    else [excitation] * r)
     if len(excitations) != r:
         raise DimensionMismatch("need one excitation per cluster plant")
-    x = np.asarray(x0 if clustered else [x0], dtype=float)
+    x = _as_stack(x0 if clustered else [x0], "initial states")
     if x.ndim != 2 or x.shape[0] != r:
         raise DimensionMismatch(f"initial states of shape {np.shape(x0)} for {r} plant(s)")
     dim, m = x.shape[1], K.shape[1]
@@ -439,7 +448,10 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
         ExcitationSignal(c.excitation, m) if c.excitation is not None else None
         for c in clusters
     ]
-    X0 = np.asarray(x0, dtype=float).reshape(r, n)
+    X0 = _as_stack(x0, "initial states")
+    if X0.size != r * n:
+        raise DimensionMismatch(f"initial states of shape {X0.shape} for {r} cluster(s)")
+    X0 = X0.reshape(r, n)
     weights = np.full(int(round(steps)) + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
 

@@ -274,6 +274,13 @@ class TestSimulate:
             simulate([SCALAR_PLANT, lambda x, u: u], np.ones((2, 1, 1)), None,
                      np.ones((2, 1)), 1e-3, 0.1)
 
+    def test_ragged_stacks_raise_dimension_mismatch(self):
+        plants = [SCALAR_PLANT, SCALAR_PLANT]
+        with pytest.raises(DimensionMismatch):
+            simulate(plants, [[1.0], [1.0, 2.0]], None, [np.array([[1.0]])] * 2, 1e-2, 0.1)
+        with pytest.raises(DimensionMismatch):
+            simulate(plants, np.ones((2, 1, 1)), None, [[1.0], [1.0, 2.0]], 1e-2, 0.1)
+
 
 class TestEmpiricalAbscissa:
     def test_detects_marginal_loop(self):
@@ -306,6 +313,11 @@ class TestEmpiricalAbscissa:
         for c in (0, 1, 3):
             assert abs(stacked[c] - empirical_abscissa(plants[c], gains[c])) <= 1e-12
         assert stacked[0] < 0 <= stacked[1] and stacked[3] < 0
+
+    def test_ragged_gains_raise_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            empirical_abscissa([SCALAR_PLANT, SCALAR_PLANT],
+                               [np.array([[1.0]]), np.array([[1.0, 2.0]])])
 
     def test_transient_peak_within_horizon_is_not_a_blowup(self):
         # x1' = -50 x1 + c x2, x2' = -50 x2 from x2 = 1 peaks near c/(50e),
@@ -464,6 +476,12 @@ class TestCollectBatch:
         with pytest.raises(DimensionMismatch):
             collect_batch([SCALAR_PLANT] * 2, [scalar_cluster(), scalar_cluster(windows=6)],
                           np.ones((2, 1)))
+
+    @pytest.mark.parametrize("x0", [[[1.0], [1.0, 2.0]], np.ones((3, 1))],
+                             ids=["ragged", "wrong-count"])
+    def test_cluster_stack_rejects_bad_initial_states(self, x0):
+        with pytest.raises(DimensionMismatch):
+            collect_batch([SCALAR_PLANT] * 2, [scalar_cluster()] * 2, x0)
 
 
 class TestOffPolicyPi:

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from hlqr import matkit, robust
+from hlqr.bench import gen_graph
 from hlqr.decomp import LqrSpec, construct_T, kron_lift
 from hlqr.errors import NonzeroFeedthrough, NotHurwitz, PreconditionFailed, SolverDiverged
 from hlqr.robust import (
@@ -190,6 +191,38 @@ def g_ey_w_sigma(case, omega):
     return np.linalg.svd(g_ey @ W, compute_uv=False)[:, 0]
 
 
+def msd_network(N, seed, spread=0.05):
+    """N planar mass-spring-damper agents (n = 4, m = 2) with stiffness,
+    damping and mass each drawn from 1 +- spread, G1 = 0.5 I + L, G2 = I,
+    Q0 = I, R0 = I: the certification inputs of the benchmark. Returns
+    spec, plan, model and x0."""
+    rng = np.random.default_rng(seed)
+    spec = LqrSpec(N, 4, 2, 0.5 * np.eye(N) + gen_graph(N, seed), np.eye(N),
+                   np.eye(4), np.eye(2))
+    z, eye = np.zeros((2, 2)), np.eye(2)
+    As, Bs = [], []
+    for k, c, mass in zip(*(1.0 + rng.uniform(-spread, spread, N) for _ in range(3))):
+        As.append(np.block([[z, eye], [-(k / mass) * eye, -(c / mass) * eye]]))
+        Bs.append(np.vstack([z, eye / mass]))
+    x0 = np.kron(np.ones(N), rng.uniform(0.0, 1.0, 4))
+    return spec, construct_T(spec.G1, spec.G2), HeteroModel(As, Bs), x0
+
+
+def second_order_modes(modes):
+    """Block-diagonal system of g w^2 / (s^2 + 2 zeta w s + w^2), one input
+    and one output per (w, zeta, g) mode, and sigma_max(G(jw)) as the
+    largest modal gain at each frequency of an array."""
+    A = sla.block_diag(*[np.array([[0.0, 1.0], [-w * w, -2 * z * w]]) for w, z, _ in modes])
+    B = sla.block_diag(*[np.array([[0.0], [1.0]])] * len(modes))
+    C = sla.block_diag(*[np.array([[g * w * w, 0.0]]) for w, _, g in modes])
+
+    def sigma(omega):
+        return np.max([np.abs(g * w * w / (w * w - omega**2 + 2j * z * w * omega))
+                       for w, z, g in modes], axis=0)
+
+    return LtiSystem(A, B, C), sigma
+
+
 class TestHinfNorm:
     def test_first_order_lag(self):
         sys = LtiSystem(np.array([[-1.0]]), np.eye(1), np.eye(1))
@@ -251,6 +284,52 @@ class TestHinfNorm:
         sys = LtiSystem(A, np.array([[0.0], [1.0]]), np.array([[w0**2, 0.0]]))
         peak = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
         assert peak <= hinf_norm(sys) <= 1.01 * peak
+
+    def test_trimmed_probes_match_all_probes_on_certify_systems(self, monkeypatch):
+        # the four H-infinity systems of one N=20 certification: seeding lo
+        # from a few resonances certifies the same norm, within tol and in
+        # no more Hamiltonian rounds, as seeding it from every resonance
+        spec, plan, model, x0 = msd_network(20, 11)
+        hinf, crossings = robust.hinf_norm, robust._axis_crossings
+        systems, rounds = [], []
+
+        def captured(sys, tol=1e-6):
+            systems.append((sys, tol))
+            return hinf(sys, tol)
+
+        def counted(sys, gamma):
+            rounds.append(gamma)
+            return crossings(sys, gamma)
+
+        monkeypatch.setattr(robust, "hinf_norm", captured)
+        robust_report(model, plan, spec, x0)
+        assert len(systems) == 4
+        monkeypatch.setattr(robust, "_axis_crossings", counted)
+
+        def certify(sys, tol, probes):
+            monkeypatch.setattr(robust, "HINF_RESONANT_PROBES", probes)
+            rounds.clear()
+            return hinf(sys, tol), len(rounds)
+
+        for sys, tol in systems:
+            trimmed, trimmed_rounds = certify(sys, tol, robust.HINF_RESONANT_PROBES)
+            full, full_rounds = certify(sys, tol, sys.A.shape[0])
+            assert abs(trimmed - full) <= tol * full
+            assert trimmed_rounds <= full_rounds
+
+    def test_dominant_mode_outside_resonant_probes(self):
+        # the five most lightly damped modes are not the peak: the mode at
+        # w = 5 is 50x better damped but 1e3x stronger, so the first level
+        # misses it and the crossing step must find it
+        assert robust.HINF_RESONANT_PROBES <= 5
+        light = [(w, 1e-3, 1.0) for w in (1.0, 3.0, 7.0, 13.0, 29.0)]
+        sys, sigma = second_order_modes(light + [(5.0, 0.05, 1e3)])
+        omega = np.concatenate([[0.0], np.logspace(-2, 3, 200_001)])
+        k = int(np.argmax(sigma(omega)))
+        fine = np.linspace(omega[k - 1], omega[k + 1], 20_001)
+        sweep = max(sigma(omega).max(), sigma(fine).max())
+        tol = 1e-6
+        assert sweep <= hinf_norm(sys, tol=tol) <= sweep * (1 + tol)
 
     def test_crossing_frequencies(self):
         # |1/(jw + 1)| = 1/2 at w = sqrt(3); the peak 1 sits at w = 0
