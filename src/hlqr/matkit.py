@@ -59,7 +59,8 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:

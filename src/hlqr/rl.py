@@ -12,9 +12,11 @@ per cluster. The clusters are decoupled, so those of equal dimensions (a
 shape class) are handled together: ``simulate``, ``empirical_abscissa``
 and ``collect_batch`` take a leading cluster axis, and the hierarchical
 solve makes one stacked K0 probe and one stacked collection per class,
-each cluster under its own excitation seed. Each cluster still runs its
-own regression and its own final decay probe. The time of a stacked phase
-is split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
+each cluster under its own excitation seed. The policy iterations of a
+class then run in lockstep, one regression per cluster and iteration with
+the cluster's own weights and convergence test, and end in one stacked
+final decay probe of the learned gains. The time of a stacked phase is
+split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
 
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
@@ -505,12 +507,119 @@ def _phi(X: np.ndarray, tri) -> np.ndarray:
     return X[:, iu] * X[:, ju]
 
 
-def _unpack_p(sol: np.ndarray, tri, n: int) -> np.ndarray:
-    """Recover symmetric P from the monomial coefficients (off-diagonal
-    coefficients carry the factor 2)."""
-    P = np.zeros((n, n))
-    P[tri] = sol
-    return 0.5 * (P + P.T)
+def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterProblem],
+                 plants=None, deadline: float | None = None) -> list:
+    """Off-policy policy iteration of r clusters of one shape in lockstep.
+
+    Cluster i learns from ``batches[i]``; clusters may share a batch
+    object, whose data terms are then formed once. Every iteration stacks
+    the regressions of the clusters still active and solves each with its
+    own ``lstsq`` (a batched SVD solve is no faster on a stack of small
+    regressions and slower on one large one). A cluster leaves the active
+    set when it converges or fails, and the others go on; the deadline is
+    checked once per iteration. The converged gains end in one stacked
+    decay probe over ``plants`` (a list of r plants), or, when ``plants``
+    is None, in the positive-definiteness check of P.
+
+    Returns, per cluster, (K, P, history) or the error that ended it.
+    """
+    r = len(clusters)
+    n, m = clusters[0].state_dim, clusters[0].input_dim
+    if len(batches) != r or (plants is not None and len(plants) != r):
+        raise DimensionMismatch("need one batch and one plant per cluster problem")
+    L = batches[0].window_count
+    if any((c.state_dim, c.input_dim) != (n, m) or b.ixx.shape != (L, n, n)
+           or b.ixu.shape != (L, n, m) for b, c in zip(batches, clusters)):
+        raise DimensionMismatch("lockstep clusters must share dimensions and window count")
+    if not all(b.rank_ok for b in batches):
+        raise PreconditionFailed("batch failed the excitation rank condition")
+    if any(c.initial_gain is None for c in clusters):
+        raise PreconditionFailed("cluster has no initial gain")
+    Q = np.stack([c.Qblock for c in clusters])
+    R = np.stack([c.Rblock for c in clusters])
+    K = np.stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters])
+    # the data terms of each distinct batch, indexed by src[cluster]
+    distinct = list({id(b): b for b in batches}.values())
+    slot = {id(b): s for s, b in enumerate(distinct)}
+    src = np.array([slot[id(b)] for b in batches])
+    # (B, L, n, n) and (B, L, m, n); a lone batch is used in place
+    ixx, ixu = ((a[0][None] if len(a) == 1 else np.stack(a))
+                for a in ([b.ixx for b in distinct], [b.ixu for b in distinct]))
+    ixu_t = ixu.swapaxes(2, 3)
+    tri = np.triu_indices(n)
+    d1 = tri[0].size
+    # theta is [phi(x_end) - phi(x_start), -2 R (ixu' + K ixx)] per window;
+    # its first block does not change between iterations
+    theta = np.empty((r, L, d1 + m * n))
+    for s, b in enumerate(distinct):
+        theta[src == s, :, :d1] = _phi(b.x_end, tri) - _phi(b.x_start, tri)
+    results: list = [None] * r
+    history: list[list] = [[] for _ in range(r)]
+    converged: list[int] = []
+    live = np.arange(r)
+    P_prev = None
+    for it in range(PI_MAX_ITER):
+        if deadline is not None and time.monotonic() > deadline:
+            for i in live:
+                results[i] = BudgetExceeded(f"budget passed during iteration {it}")
+            live = live[:0]
+            break
+        # a single batch broadcasts over the clusters
+        at = src[live] if len(distinct) > 1 else slice(None)
+        cross = R[live, None] @ (ixu_t[at] + K[:, None] @ ixx[at])   # (a, L, m, n)
+        theta[live, :, d1:] = -2.0 * cross.reshape(live.size, L, -1)
+        rhs = -np.einsum("rlij,rij->rl", ixx[at],
+                         matkit.symmetrize(Q[live] + K.swapaxes(1, 2) @ R[live] @ K))
+        sol = np.zeros((live.size, d1 + m * n))
+        for j, i in enumerate(live):
+            try:
+                sol[j], _, rank, sv = np.linalg.lstsq(theta[i], rhs[j], rcond=None)
+            except np.linalg.LinAlgError as exc:
+                results[i] = exc
+                continue
+            if rank < theta.shape[2] or sv[-1] <= 0 or sv[0] / sv[-1] > REGRESSION_COND_LIMIT:
+                results[i] = RegressionSingular(
+                    f"regression condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.3e}"
+                )
+        # off-diagonal monomial coefficients carry the factor 2
+        P = np.zeros((live.size, n, n))
+        P[:, tri[0], tri[1]] = sol[:, :d1]
+        P = matkit.symmetrize(P)
+        K = sol[:, d1:].reshape(-1, m, n)
+        stay = np.array([results[i] is None for i in live], dtype=bool)
+        for j in np.flatnonzero(stay):
+            history[live[j]].append((P[j], K[j]))
+        if P_prev is not None:
+            D, Pf = (P - P_prev).reshape(live.size, -1), P.reshape(live.size, -1)
+            done = stay & (np.sqrt(np.vecdot(D, D))
+                           <= np.maximum(PI_TOL, 1e-12 * np.sqrt(np.vecdot(Pf, Pf))))
+            converged.extend(live[done])
+            stay &= ~done
+        live, P_prev, K = live[stay], P[stay], K[stay]
+        if live.size == 0:
+            break
+    for i in live:
+        results[i] = MaxIterExceeded(f"no convergence within {PI_MAX_ITER} iterations")
+    if not converged:
+        return results
+
+    converged.sort()
+    P_end = np.stack([history[i][-1][0] for i in converged])
+    K_end = np.stack([history[i][-1][1] for i in converged])
+    if plants is None:
+        stable = np.linalg.eigvalsh(P_end).min(axis=1) > 0
+        failure = "learned value matrix is not positive definite"
+    else:
+        try:
+            stable = empirical_abscissa([plants[i] for i in converged], K_end) < 0
+        except PreconditionFailed as exc:  # a plant of the stack cannot be probed
+            for i in converged:
+                results[i] = exc
+            return results
+        failure = "learned gain failed the empirical decay probe"
+    for i, ok, Pi, Ki in zip(converged, stable, P_end, K_end):
+        results[i] = (Ki, Pi, history[i]) if ok else NotStabilizing(failure)
+    return results
 
 
 def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
@@ -533,50 +642,16 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant=None,
     When ``plant`` is given the final gain is checked by an empirical
     closed-loop decay probe, otherwise positive definiteness of P stands
     in; failure raises ``NotStabilizing``.
-    """
-    if not batch.rank_ok:
-        raise PreconditionFailed("batch failed the excitation rank condition")
-    n, m = cluster.state_dim, cluster.input_dim
-    Q, R = cluster.Qblock, cluster.Rblock
-    if cluster.initial_gain is None:
-        raise PreconditionFailed("cluster has no initial gain")
-    K = matkit.as_matrix(cluster.initial_gain, "initial gain")
-    tri = np.triu_indices(n)
-    d1 = tri[0].size
-    phi_diff = _phi(batch.x_end, tri) - _phi(batch.x_start, tri)
-    L = batch.window_count
-    ixu_t = batch.ixu.transpose(0, 2, 1)
-    history: list[tuple[np.ndarray, np.ndarray]] = []
-    P_prev = None
-    residual = np.inf
-    for it in range(PI_MAX_ITER):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"budget passed during iteration {it}")
-        cross = R @ (ixu_t + K @ batch.ixx)          # (L, m, n)
-        theta = np.hstack([phi_diff, -2.0 * cross.reshape(L, -1)])
-        rhs = -np.einsum("lij,ij->l", batch.ixx, matkit.symmetrize(Q + K.T @ R @ K))
-        sol, _, rank, sv = np.linalg.lstsq(theta, rhs, rcond=None)
-        if rank < theta.shape[1] or sv[-1] <= 0 or sv[0] / sv[-1] > REGRESSION_COND_LIMIT:
-            raise RegressionSingular(
-                f"regression condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.3e}"
-            )
-        P = _unpack_p(sol[:d1], tri, n)
-        K = sol[d1:].reshape(m, n)
-        history.append((P, K))
-        if P_prev is not None:
-            residual = float(np.linalg.norm(P - P_prev))
-            if residual <= max(PI_TOL, 1e-12 * float(np.linalg.norm(P))):
-                break
-        P_prev = P
-    else:
-        raise MaxIterExceeded(f"no convergence within {PI_MAX_ITER} iterations")
 
-    if plant is not None:
-        if empirical_abscissa(plant, K) >= 0:
-            raise NotStabilizing("learned gain failed the empirical decay probe")
-    elif float(np.min(np.linalg.eigvalsh(matkit.symmetrize(P)))) <= 0:
-        raise NotStabilizing("learned value matrix is not positive definite")
-    return K, P, history
+    This is the one-cluster case of the lockstep iteration that
+    ``hierarchical_solve`` runs over each shape class, so a cluster learns
+    the same gain, in as many iterations, alone or in its class.
+    """
+    result = _lockstep_pi([batch], [cluster], None if plant is None else [plant],
+                          deadline)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(eq=False)
@@ -592,10 +667,11 @@ class HierarchicalConfig:
 class ClusterStats:
     """Per-cluster outcome. ``batch_of`` is the index of the cluster whose
     K0 probe and batch this cluster learned from (its own when it
-    collected). ``wall_ms`` is the cluster's own regression and final
-    probe plus its share of the stacked K0 probe and collection of its
-    shape class: that time is split evenly over the clusters that
-    collected in it, and a cluster that reused another's batch gets none.
+    collected). ``wall_ms`` is the cluster's share of the stacked phases
+    of its shape class. The K0 probe and collection are split evenly over
+    the clusters that collected in it, so a cluster that reused another's
+    batch gets none of them; the lockstep policy iteration and final
+    decay probe are split evenly over every cluster that learned in it.
     """
 
     index: int
@@ -672,23 +748,30 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     identical clusters of an agent model share a plant object (see
     ``cluster_plants``).
 
-    The clusters that collect form shape classes: those with equal state
-    and input dimensions and window settings share one. Each class gets
-    one stacked ``empirical_abscissa`` probe of its initial gains and one
-    stacked ``collect_batch`` over the clusters that pass it, so its
-    clusters advance together in every window; each keeps its own
-    excitation seed, window integrals and rank check. A probe is the
-    horizon power of the stacked step maps, not a rollout, and grouping
-    reads only the problems' dimensions, never plant matrices. The time of
-    a class's probe and collection is split evenly over its ``wall_ms``.
+    Clusters with equal state and input dimensions and window settings
+    form a shape class. Each class gets one stacked ``empirical_abscissa``
+    probe of the initial gains of its clusters that collect and one
+    stacked ``collect_batch`` over those that pass it, so they advance
+    together in every window; each keeps its own excitation seed, window
+    integrals and rank check. A probe is the horizon power of the stacked
+    step maps, not a rollout, and grouping reads only the problems'
+    dimensions, never plant matrices. The time of a class's probe and
+    collection is split evenly over the ``wall_ms`` of the clusters that
+    collected.
 
-    Then, in index order, every cluster runs off-policy policy iteration
-    with its own weights and a final decay probe of its learned gain. The
-    global gain is reassembled through the plan's transformation. The
-    lowest-index cluster that failed (its probe, its batch or its
-    regression) is re-raised as ``ClusterFailure`` with the stats of every
-    lower-index cluster, as a one-at-a-time solve would; a failed shared
-    probe or batch is tagged with the first cluster of its group.
+    Then every cluster of a class whose batch succeeded, those that reuse
+    another's batch included, runs off-policy policy iteration with its
+    own weights, all in lockstep: each iteration stacks their regressions,
+    a cluster leaves when it converges or fails and the others go on, and
+    the converged gains get one stacked final decay probe. Each cluster
+    learns the gain that ``offpolicy_pi`` alone would give it. The global
+    gain is reassembled through the plan's transformation. The
+    lowest-index cluster that failed (its probe, its batch, its regression
+    or its final probe) is re-raised as ``ClusterFailure`` with the stats
+    of every lower-index cluster, as a one-at-a-time solve would; a failed
+    shared probe or batch is tagged with the first cluster of its group.
+    The time of a class's policy iteration is split evenly over the
+    ``wall_ms`` of the clusters in it.
 
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
@@ -704,71 +787,79 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
         problem.initial_gain = matkit.as_matrix(gain, "initial gain")
     plants = cluster_plants(plant_access, plan, spec)
 
-    # shape classes of the clusters that collect; a cluster whose plant
-    # object and K0 equal an earlier member's learns from that one's batch
+    # shape classes; a cluster whose plant object and K0 equal an earlier
+    # member's learns from that one's batch
     classes: dict[tuple, list[int]] = {}
     batch_of: list[int] = []
     for i, (problem, plant) in enumerate(zip(problems, plants)):
         key = (problem.state_dim, problem.input_dim, problem.sample_interval,
                problem.window_count)
         members = classes.setdefault(key, [])
-        lead = next(
+        batch_of.append(next(
             (j for j in members
-             if plants[j] is plant and np.array_equal(problems[j].initial_gain,
-                                                      problem.initial_gain)),
+             if batch_of[j] == j and plants[j] is plant
+             and np.array_equal(problems[j].initial_gain, problem.initial_gain)),
             i,
-        )
-        if lead == i:
-            members.append(i)
-        batch_of.append(lead)
+        ))
+        members.append(i)
 
-    # one stacked K0 probe and one stacked collection per class; each
-    # collecting cluster ends with a batch or the error that stopped it
+    # per class: one stacked K0 probe and one stacked collection over the
+    # clusters that collect, each ending with a batch or the error that
+    # stopped it; then one lockstep policy iteration over every cluster
+    # whose batch succeeded, each ending with (K, P, history) or an error
+    batches: dict[int, object] = {}
     outcome: dict[int, object] = {}
     wall = [0.0] * plan.r
     for members in classes.values():
+        leads = [i for i in members if batch_of[i] == i]
         t0 = time.perf_counter()
         try:
             abscissa = empirical_abscissa(
-                [plants[i] for i in members],
-                np.stack([problems[i].initial_gain for i in members]))
+                [plants[i] for i in leads],
+                np.stack([problems[i].initial_gain for i in leads]))
             passed = []
-            for i, a in zip(members, abscissa):
+            for i, a in zip(leads, abscissa):
                 if a >= 0:
-                    outcome[i] = K0NotStabilizing(
+                    batches[i] = K0NotStabilizing(
                         f"initial gain for cluster {i} is not stabilizing")
                 else:
                     passed.append(i)
             if passed:
-                nc = problems[members[0]].state_dim
-                outcome.update(zip(passed, collect_batch(
+                nc = problems[leads[0]].state_dim
+                batches.update(zip(passed, collect_batch(
                     [plants[i] for i in passed], [problems[i] for i in passed],
                     np.full((len(passed), nc), 1.0 / np.sqrt(nc)))))
         except Exception as exc:  # noqa: BLE001 - a whole-class failure
-            outcome.update((i, exc) for i in members if i not in outcome)
-        share = (time.perf_counter() - t0) / len(members)
-        for i in members:
+            batches.update((i, exc) for i in leads if i not in batches)
+        share = (time.perf_counter() - t0) / len(leads)
+        for i in leads:
             wall[i] = share
 
+        ready = [i for i in members if isinstance(batches[batch_of[i]], TrajectoryBatch)]
+        if ready:
+            t0 = time.perf_counter()
+            outcome.update(zip(ready, _lockstep_pi(
+                [batches[batch_of[i]] for i in ready], [problems[i] for i in ready],
+                [plants[i] for i in ready])))
+            share = (time.perf_counter() - t0) / len(ready)
+            for i in ready:
+                wall[i] += share
+        outcome.update((i, batches[batch_of[i]]) for i in members if i not in outcome)
+
     gains, stats = [], []
-    for i, (problem, plant) in enumerate(zip(problems, plants)):
-        t0 = time.perf_counter()
-        batch = outcome[batch_of[i]]
-        if isinstance(batch, Exception):
-            raise ClusterFailure(i, batch, stats) from batch
-        try:
-            kappa, _, history = offpolicy_pi(batch, problem, plant=plant)
-        except Exception as exc:  # noqa: BLE001 - tagged and re-raised
-            raise ClusterFailure(i, exc, stats) from exc
+    for i in range(plan.r):
+        result = outcome[i]
+        if isinstance(result, Exception):
+            raise ClusterFailure(i, result, stats) from result
+        kappa, _, history = result
         residual = (
             float(np.linalg.norm(history[-1][0] - history[-2][0]))
             if len(history) > 1
             else 0.0
         )
-        wall_ms = 1e3 * (wall[i] + time.perf_counter() - t0)
         gains.append(kappa)
         stats.append(ClusterStats(i, plan.cluster_sizes[i], len(history), residual,
-                                  wall_ms, batch_of[i]))
+                                  1e3 * wall[i], batch_of[i]))
     K = assemble_gain(plan, gains, spec.n, spec.m)
     return K, stats
 

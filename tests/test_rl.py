@@ -10,6 +10,7 @@ from hlqr.decomp import (
     ExcitationConfig,
     LqrSpec,
     construct_T,
+    project_problem,
     regression_bytes,
     unknown_count,
 )
@@ -19,10 +20,12 @@ from hlqr.errors import (
     DimensionMismatch,
     ExcitationDeficient,
     K0NotStabilizing,
+    MaxIterExceeded,
     NonFinite,
+    NotStabilizing,
     PreconditionFailed,
 )
-from hlqr.lqr import AgentModel, evaluate_cost
+from hlqr.lqr import AgentModel, assemble_gain, evaluate_cost
 from hlqr.rl import (
     HierarchicalConfig,
     collect_batch,
@@ -562,6 +565,12 @@ class TestOffPolicyPi:
             assert np.linalg.norm(P - P_ref) <= 1e-4 * np.linalg.norm(P_ref)
             assert np.linalg.norm(K - K_ref) <= 1e-4 * np.linalg.norm(K_ref)
 
+    def test_passed_deadline_refused(self):
+        problem = scalar_cluster()
+        batch = collect_batch(SCALAR_PLANT, problem, [1.0])
+        with pytest.raises(BudgetExceeded, match="during iteration 0"):
+            offpolicy_pi(batch, problem, deadline=time.monotonic() - 1.0)
+
     def test_batch_without_rank_flag_rejected(self):
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
@@ -591,6 +600,40 @@ def formation_spec(rng, N):
 def two_agent_spec():
     G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
     return LqrSpec(2, 1, 1, G1, np.eye(2), np.eye(1), np.eye(1))
+
+
+def five_scalar_clusters(rng):
+    """G2 = I: five size-1 clusters of x' = u in one shape class, with
+    distinct weights; cluster 2 starts from a far larger K0, so it
+    collects its own batch and the others share batch 0."""
+    spec = formation_spec(rng, 5)
+    plan = construct_T(spec.G1, spec.G2)
+    assert plan.r == 5
+    gains = [np.array([[2.0]])] * 5
+    gains[2] = np.array([[20.0]])
+    return spec, plan, SCALAR_PLANT, HierarchicalConfig(initial_gains=gains)
+
+
+def four_msd_clusters(rng):
+    """G2 = I: four 4-state clusters of heterogeneous mass-spring-damper
+    agents in one shape class, each collecting its own batch."""
+    from hlqr.bench import derive_initial_gain
+    from hlqr.robust import HeteroModel
+
+    pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (4, 3))]
+    model = HeteroModel([A for A, _ in pairs], [B for _, B in pairs])
+    spec = LqrSpec(4, 4, 2, 0.5 * np.eye(4) + random_laplacian(rng, 4),
+                   np.eye(4), np.eye(4), np.eye(2))
+    plan = construct_T(spec.G1, spec.G2)
+    assert plan.r == 4
+    k_agent = derive_initial_gain(*msd_pair(), seed=3)
+    return spec, plan, model, HierarchicalConfig(initial_gains=[k_agent] * 4)
+
+
+def same_stats(stats, reference) -> bool:
+    """Equal cluster stats, wall time aside."""
+    return [(s.index, s.size, s.iters, s.residual, s.batch_of) for s in stats] == [
+        (s.index, s.size, s.iters, s.residual, s.batch_of) for s in reference]
 
 
 class TestHierarchicalSolve:
@@ -868,6 +911,84 @@ class TestHierarchicalSolve:
         assert info.value.cluster_index == 0
         assert isinstance(info.value.cause, ExcitationDeficient)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [five_scalar_clusters, four_msd_clusters],
+                             ids=["scalar-shared-batch", "msd-own-batches"])
+    def test_lockstep_class_learns_solo_gains(self, rng, monkeypatch, make):
+        # one shape class whose clusters converge at different iterations,
+        # so the active set shrinks mid-run
+        spec, plan, plant, config = make(rng)
+        batches, gains = [], []
+
+        def recorded(plant, problem, *args, **kwargs):
+            results = collect_batch(plant, problem, *args, **kwargs)
+            batches.extend(results)
+            return results
+
+        def captured(plan, cluster_gains, *args):
+            gains.extend(cluster_gains)
+            return assemble_gain(plan, cluster_gains, *args)
+
+        monkeypatch.setattr(rl, "collect_batch", recorded)
+        monkeypatch.setattr(rl, "assemble_gain", captured)
+        _, stats = hierarchical_solve(spec, plan, plant, config)
+        assert len({s.iters for s in stats}) > 1
+        leads = [s.index for s in stats if s.batch_of == s.index]
+        batch_of_lead = dict(zip(leads, batches))
+        problems = project_problem(spec, plan, excitation=config.excitation)
+        plants = rl.cluster_plants(plant, plan, spec)
+        for s, problem, K0, gain in zip(stats, problems, config.initial_gains, gains):
+            problem.initial_gain = K0
+            K, _, history = offpolicy_pi(batch_of_lead[s.batch_of], problem,
+                                         plant=plants[s.index])
+            np.testing.assert_array_equal(gain, K)
+            assert s.iters == len(history)
+
+    def test_lockstep_isolates_a_cluster_over_its_iteration_limit(self, rng, monkeypatch):
+        spec, plan, plant, config = five_scalar_clusters(rng)
+        _, clean = hierarchical_solve(spec, plan, plant, config)
+        iters = [s.iters for s in clean]
+        j = int(np.argmax(iters))
+        assert j > 0 and max(iters[:j]) < iters[j]
+        monkeypatch.setattr(rl, "PI_MAX_ITER", iters[j] - 1)
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, plant, config)
+        assert info.value.cluster_index == j
+        assert isinstance(info.value.cause, MaxIterExceeded)
+        assert same_stats(info.value.partial_stats, clean[:j])
+
+    def test_lockstep_isolates_a_cluster_failing_the_final_probe(self, rng, monkeypatch):
+        spec, plan, plant, config = five_scalar_clusters(rng)
+        _, clean = hierarchical_solve(spec, plan, plant, config)
+        probe, calls, j = rl.empirical_abscissa, [], 3
+
+        def final_probe_fails_j(plants, gains):
+            out = probe(plants, gains)
+            calls.append(len(plants))
+            if len(calls) == 2:   # the final probe, over clusters 0..4 in order
+                out[j] = np.inf
+            return out
+
+        monkeypatch.setattr(rl, "empirical_abscissa", final_probe_fails_j)
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, plant, config)
+        assert calls == [2, 5]
+        assert info.value.cluster_index == j
+        assert isinstance(info.value.cause, NotStabilizing)
+        assert same_stats(info.value.partial_stats, clean[:j])
+
+    def test_one_class_makes_two_probes(self, rng, monkeypatch):
+        # the stacked K0 probe and the stacked final probe, for any r
+        spec, plan, plant, config = five_scalar_clusters(rng)
+        probe, calls = rl.empirical_abscissa, []
+
+        def counted(plants, gains):
+            calls.append(plants)
+            return probe(plants, gains)
+
+        monkeypatch.setattr(rl, "empirical_abscissa", counted)
+        hierarchical_solve(spec, plan, plant, config)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("k_bad", [0.0, -40.0], ids=["marginal", "blow-up"])
     def test_failures_surface_in_index_order(self, rng, monkeypatch, k_bad):
