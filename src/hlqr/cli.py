@@ -29,6 +29,19 @@ from .errors import PreconditionFailed, SolverFailure
 from .lqr import AgentModel, assemble_gain
 
 
+def _read(load, path):
+    """``load(path)``, with a missing, unreadable or malformed input file
+    raised as ``PreconditionFailed`` naming the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise PreconditionFailed(f"cannot read input file {path}: {exc!r}") from exc
+
+
+def _load_gain_file(path):
+    return matkit.matrix_from_json(json.loads(Path(path).read_text())["K"])
+
+
 def _load_spec_file(path):
     obj = json.loads(Path(path).read_text())
     spec = decomp.LqrSpec(
@@ -67,8 +80,8 @@ def _load_model_file(path):
 
 
 def cmd_decompose(args) -> int:
-    g1 = matkit.load_matrix(args.g1)
-    g2 = matkit.load_matrix(args.g2)
+    g1 = _read(matkit.load_matrix, args.g1)
+    g2 = _read(matkit.load_matrix, args.g2)
     plan = decomp.construct_T(g1, g2, tol=args.tol)
     decomp.save_plan(plan, args.out)
     check = decomp.verify_plan(plan, g1, g2)
@@ -81,8 +94,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec, plant = _load_spec_file(args.spec)
-    plan = decomp.load_plan(args.plan)
+    spec, plant = _read(_load_spec_file, args.spec)
+    plan = _read(decomp.load_plan, args.plan)
     if plant is None:
         raise PreconditionFailed("spec file must carry the agent model A/B")
     t0 = time.perf_counter()
@@ -109,11 +122,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    model, spec = _load_model_file(args.model)
-    plan = decomp.load_plan(args.plan)
-    gain_obj = json.loads(Path(args.gain).read_text())
-    K = matkit.matrix_from_json(gain_obj["K"])
-    x0 = matkit.load_vector(args.x0)
+    model, spec = _read(_load_model_file, args.model)
+    plan = _read(decomp.load_plan, args.plan)
+    K = _read(_load_gain_file, args.gain)
+    x0 = _read(matkit.load_vector, args.x0)
     report = robust.robust_report(model, plan, spec, x0, gain=K)
     robust.save_report(report, args.out)
     print(json.dumps(report.verdicts))

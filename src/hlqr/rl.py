@@ -20,11 +20,11 @@ split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
 
 The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
 L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
-step of 1e-2. Every plant advances by its RK4 step map, which is read off
-the one RK4 body once per rollout: from A/B matrices, or by evaluating a
-black-box callable on unit states and inputs. The decay probe is the
-horizon power of the step map, with no rollout. A callable plant must
-therefore be linear and time-invariant (checked at one point), as the
+step of 1e-2. Every plant advances by its RK4 step map, read off the one
+RK4 body once per ``simulate`` call or collection, from A/B matrices or by
+evaluating a black-box callable on unit states and inputs. The decay probe
+is the horizon power of the step map, with no rollout. A callable plant
+must thus be linear and time-invariant (checked at one point), as the
 integral policy-iteration regression already assumes.
 """
 
@@ -192,6 +192,8 @@ def _plants_and_gains(plant, policy):
     return plants, K, clustered
 
 
+# a map that turns inf makes NaN, which the step check or probe test catches
+@np.errstate(invalid="ignore", over="ignore")
 def _step_maps(plants, K: np.ndarray, dim: int, m: int, dt: float, forced: bool):
     """One RK4 step with half-step excitation is the linear map
     x+ = Phi x + G0 e0 + G1 e1 + G2 e2. Returns Phi' as an (r, dim, dim)
@@ -218,10 +220,45 @@ def _step_maps(plants, K: np.ndarray, dim: int, m: int, dt: float, forced: bool)
                    rk4(no_state, zero, zero, eye))
 
 
-def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
-             t0: float = 0.0) -> Trajectory:
+def _window(Phi_t, G_t, K: np.ndarray, E: np.ndarray, x: np.ndarray):
+    """The step loop of every rollout: the (steps + 1, r, dim) states from
+    ``x`` under the maps of ``_step_maps`` and the (2 steps + 1, r, m)
+    half-step samples ``E``, and the inputs U = e - K x at the step times.
+    ``NonFinite`` names the clusters whose state blew up."""
+    steps, (r, dim) = E.shape[0] // 2, x.shape
+    # each cluster's state is a (1, dim) row of the (r, 1, dim) stack
+    X = np.empty((steps + 1, r, 1, dim))
+    X[0] = x[:, None]
+    x = X[0]
+    bound = STATE_BLOWUP_NORM**2
+    # a map or state that turns inf makes NaN; the step check raises
+    with np.errstate(invalid="ignore", over="ignore"):
+        # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2', one (r, ., dim) map per cluster
+        F = None
+        if G_t is not None:
+            Er = E.transpose(1, 0, 2)                       # (r, 2 steps + 1, m)
+            F = Er[:, 0:-1:2] @ G_t[0] + Er[:, 1::2] @ G_t[1] + Er[:, 2::2] @ G_t[2]
+            F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
+        # each step writes the next state straight into its trajectory row
+        for k in range(steps):
+            x = np.matmul(x, Phi_t, out=X[k + 1])
+            if F is not None:
+                x += F[k]
+            # false for NaN, for inf and for a norm above the blow-up bound;
+            # the whole stack's squared norm bounds each cluster's, so
+            # clusters are checked one by one only when it fails
+            if not np.vdot(x, x) <= bound:
+                blown = np.flatnonzero(~(np.einsum("rki,rki->r", x, x) <= bound))
+                if blown.size:
+                    raise NonFinite(f"state blew up at step {k + 1}", clusters=blown)
+    X = X[:, :, 0]
+    U = E[::2] - (X.swapaxes(0, 1) @ K.swapaxes(1, 2)).swapaxes(0, 1)
+    return X, U
+
+
+def simulate(plant, policy, excitation, x0, dt: float, horizon: float) -> Trajectory:
     """Fixed-step classic 4th-order Runge-Kutta rollout of the closed loop
-    u = -K x + e(t).
+    u = -K x + e(t) from t = 0.
 
     ``plant`` is either an object with A/B matrices or a black-box linear
     derivative callable f(x, u), which is applied to one state at a time.
@@ -261,65 +298,15 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float,
     if K.shape[2] != dim:
         raise DimensionMismatch(f"policy is {K.shape[1:]}, state dim is {dim}")
     steps = int(round(horizon / dt))
-    stage_times = t0 + 0.5 * dt * np.arange(2 * steps + 1)
+    stage_times = 0.5 * dt * np.arange(2 * steps + 1)
     E = np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
                  axis=1)                                   # (2 steps + 1, r, m)
-    # each cluster's state is a (1, dim) row of the (r, 1, dim) stack
-    X = np.empty((steps + 1, r, 1, dim))
-    X[0] = x[:, None]
-    x = X[0]
-    bound = STATE_BLOWUP_NORM**2
-    # a map or state that turns inf makes NaN; the step check raises
-    with np.errstate(invalid="ignore", over="ignore"):
-        # x+ = x Phi' + e0 G0' + e1 G1' + e2 G2', one (r, ., dim) map per cluster
-        Phi_t, G_t = _step_maps(plants, K, dim, m, dt,
-                                forced=any(e is not None for e in excitations))
-        F = None
-        if G_t is not None:
-            Er = E.transpose(1, 0, 2)                       # (r, 2 steps + 1, m)
-            F = Er[:, 0:-1:2] @ G_t[0] + Er[:, 1::2] @ G_t[1] + Er[:, 2::2] @ G_t[2]
-            F = np.ascontiguousarray(F.transpose(1, 0, 2)[:, :, None])
-        # each step writes the next state straight into its trajectory row
-        for k in range(steps):
-            x = np.matmul(x, Phi_t, out=X[k + 1])
-            if F is not None:
-                x += F[k]
-            # false for NaN, for inf and for a norm above the blow-up bound;
-            # the whole stack's squared norm bounds each cluster's, so
-            # clusters are checked one by one only when it fails
-            if not np.vdot(x, x) <= bound:
-                blown = np.flatnonzero(~(np.einsum("rki,rki->r", x, x) <= bound))
-                if blown.size:
-                    raise NonFinite(f"state blew up at step {k + 1}", clusters=blown)
-    X = X[:, :, 0]
-    U = E[::2] - (X.swapaxes(0, 1) @ K.swapaxes(1, 2)).swapaxes(0, 1)
+    Phi_t, G_t = _step_maps(plants, K, dim, m, dt,
+                            forced=any(e is not None for e in excitations))
+    X, U = _window(Phi_t, G_t, K, E, x)
     if not clustered:
         X, U = X[:, 0], U[:, 0]
-    t = t0 + dt * np.arange(steps + 1)
-    return Trajectory(t, X, U)
-
-
-def _drop_blowups(rollout, count: int):
-    """Run ``rollout(live)`` on the cluster indices ``live``. When its
-    stacked rollout blows up, the clusters its ``NonFinite`` names fail
-    with that error and the others run again without them (the rare path;
-    normally the first run is the only one).
-
-    Returns (live, result, failed): the clusters of the run that
-    completed, its result (None when no cluster is left) and the
-    ``NonFinite`` of each failed cluster by index.
-    """
-    live, failed = list(range(count)), {}
-    while live:
-        try:
-            return live, rollout(live), failed
-        except NonFinite as exc:
-            dead = {live[j] for j in exc.clusters}
-            if not dead:
-                raise
-            failed.update(dict.fromkeys(dead, exc))
-            live = [i for i in live if i not in dead]
-    return live, None, failed
+    return Trajectory(dt * np.arange(steps + 1), X, U)
 
 
 def empirical_abscissa(plant, gain) -> float | np.ndarray:
@@ -351,14 +338,13 @@ def empirical_abscissa(plant, gain) -> float | np.ndarray:
 @dataclass(eq=False)
 class TrajectoryBatch:
     """Per-window endpoint states and trapezoidal input/state moment
-    integrals, plus the excitation-rank flag for the regression."""
+    integrals, plus the numerical rank q of the regression data."""
 
     x_start: np.ndarray  # (L, n)
     x_end: np.ndarray    # (L, n)
     ixx: np.ndarray      # (L, n, n), integral of outer(x, x) over each window
     ixu: np.ndarray      # (L, n, m), integral of outer(x, u) over each window
     rank: int
-    rank_ok: bool
 
     @property
     def window_count(self) -> int:
@@ -416,14 +402,18 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     provably unreachable), and ``ExcitationDeficient`` when the regression
     data matrix has numerical rank below the unknown count.
 
+    The step maps are read once per collection and every window runs the
+    step loop of ``simulate`` on them, so a callable plant is evaluated
+    4 (n + 3m) + 3 times per cluster and collection.
+
     A list of r problems with equal dimensions and window settings, with
     ``plant`` the list of their plants and ``x0`` an (r, n) stack, is
-    collected together: each window is one ``simulate`` call over the
-    cluster axis, each cluster under its own initial gain and excitation
-    seed, and the memory check covers the summed bytes. The result then
-    lists, per cluster, its batch or the error that ended its collection:
-    ``NonFinite`` for a cluster whose rollout blew up (the others are
-    collected again without it) or ``ExcitationDeficient``.
+    collected together: each window advances the whole cluster axis, each
+    cluster under its own initial gain and excitation seed, and the memory
+    check covers the summed bytes. The result then lists, per cluster, its
+    batch or the error that ended its collection: ``NonFinite`` for a
+    cluster whose rollout blew up (the others redo that window without it,
+    from their window-start states) or ``ExcitationDeficient``.
     """
     clustered = _is_stack(cluster)
     clusters = list(cluster) if clustered else [cluster]
@@ -441,49 +431,57 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     if any((c.state_dim, c.input_dim, c.sample_interval, c.window_count) != (n, m, delta, L)
            for c in clusters):
         raise DimensionMismatch("stacked clusters must share dimensions and window settings")
-    steps = delta / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
+    steps = round(delta / dt)
+    if steps < 1 or abs(delta / dt - steps) > 1e-9 * max(1.0, delta / dt):
         raise PreconditionFailed("integration step must divide the window length")
     _check_memory(clusters)
-    K0 = np.stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters])
-    excitations = [
-        ExcitationSignal(c.excitation, m) if c.excitation is not None else None
-        for c in clusters
-    ]
+    K0 = _as_stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters],
+                   "initial gains")
+    if K0.shape != (r, m, n):
+        raise DimensionMismatch(f"initial gains must be {m} x {n}")
+    excitations = [None if c.excitation is None else ExcitationSignal(c.excitation, m)
+                   for c in clusters]
     X0 = _as_stack(x0, "initial states")
-    if X0.size != r * n:
+    if not clustered and X0.size == n:
+        X0 = X0.reshape(1, n)
+    if X0.shape != (r, n):
         raise DimensionMismatch(f"initial states of shape {X0.shape} for {r} cluster(s)")
-    X0 = X0.reshape(r, n)
-    weights = np.full(int(round(steps)) + 1, dt)
+    weights = np.full(steps + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
+    stage_offsets = 0.5 * dt * np.arange(2 * steps + 1)
+    Phi_t, G_t = _step_maps(plants, K0, n, m, dt,
+                            forced=any(e is not None for e in excitations))
+    x_start, x_end = np.empty((r, L, n)), np.empty((r, L, n))
+    ixx, ixu = np.empty((r, L, n, n)), np.empty((r, L, n, m))
+    results: list = [None] * r
+    live, x, K = np.arange(r), X0, K0
+    start = time.monotonic()
+    w = 0
+    while w < L and live.size:
+        _check_budget(start, w, L, deadline)
+        times = w * delta + stage_offsets
+        E = np.stack([_excitation_samples(excitations[i], m, times) for i in live], axis=1)
+        try:
+            X, U = _window(Phi_t, G_t, K, E, x)
+        except NonFinite as exc:
+            # the clusters it names fail; the others redo this window
+            for i in live[list(exc.clusters)]:
+                results[i] = exc
+            keep = np.delete(np.arange(live.size), exc.clusters)
+            live, x, K, Phi_t = live[keep], x[keep], K[keep], Phi_t[keep]
+            G_t = G_t and tuple(G[keep] for G in G_t)
+            continue
+        xs = X.transpose(1, 0, 2)                           # (r, steps + 1, n)
+        xw = (xs * weights[:, None]).swapaxes(1, 2)
+        x_start[live, w] = X[0]
+        x_end[live, w] = X[-1]
+        ixx[live, w] = xw @ xs
+        ixu[live, w] = xw @ U.transpose(1, 0, 2)
+        x = X[-1]
+        w += 1
 
-    def rollout(live):
-        sub_plants = [plants[i] for i in live]
-        sub_excitations = [excitations[i] for i in live]
-        x = X0[live]
-        x_start = np.empty((len(live), L, n))
-        x_end = np.empty((len(live), L, n))
-        ixx = np.empty((len(live), L, n, n))
-        ixu = np.empty((len(live), L, n, m))
-        start = time.monotonic()
-        for w in range(L):
-            _check_budget(start, w, L, deadline)
-            traj = simulate(sub_plants, K0[live], sub_excitations, x, dt, delta,
-                            t0=w * delta)
-            xs = traj.x.transpose(1, 0, 2)                  # (r, steps + 1, n)
-            xw = (xs * weights[:, None]).swapaxes(1, 2)
-            x_start[:, w] = traj.x[0]
-            x_end[:, w] = traj.x[-1]
-            ixx[:, w] = xw @ xs
-            ixu[:, w] = xw @ traj.u.transpose(1, 0, 2)
-            x = traj.x[-1]
-        return x_start, x_end, ixx, ixu
-
-    live, arrays, failed = _drop_blowups(rollout, r)
-    results: list = [failed.get(i) for i in range(r)]
-    for j, i in enumerate(live):
-        x_start, x_end, ixx, ixu = (a[j] for a in arrays)
-        rank = matkit.numerical_rank(_reduced_rows(ixx, ixu))
+    for i in live:
+        rank = matkit.numerical_rank(_reduced_rows(ixx[i], ixu[i]))
         q = clusters[i].q
         results[i] = (
             ExcitationDeficient(
@@ -491,7 +489,7 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
                 "increase windows, amplitude, or component count"
             )
             if rank < q
-            else TrajectoryBatch(x_start, x_end, ixx, ixu, rank, rank == q)
+            else TrajectoryBatch(x_start[i], x_end[i], ixx[i], ixu[i], rank)
         )
     if clustered:
         return results
@@ -531,7 +529,7 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     if any((c.state_dim, c.input_dim) != (n, m) or b.ixx.shape != (L, n, n)
            or b.ixu.shape != (L, n, m) for b, c in zip(batches, clusters)):
         raise DimensionMismatch("lockstep clusters must share dimensions and window count")
-    if not all(b.rank_ok for b in batches):
+    if any(b.rank < c.q for b, c in zip(batches, clusters)):
         raise PreconditionFailed("batch failed the excitation rank condition")
     if any(c.initial_gain is None for c in clusters):
         raise PreconditionFailed("cluster has no initial gain")

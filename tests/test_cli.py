@@ -110,6 +110,29 @@ def test_solve_rejects_spec_with_exit_2(toy_files, mode, edit):
     assert not (tmp / "gain.json").exists()
 
 
+@pytest.mark.parametrize("case", ["malformed-csv", "missing-file", "spec-without-n"])
+def test_unreadable_input_file_exits_2(toy_files, capsys, case):
+    tmp = toy_files[0]
+    decompose = ["decompose", "--g1", str(tmp / "g1.csv"), "--g2", str(tmp / "g2.json"),
+                 "--out", str(tmp / "plan.json")]
+    argv, bad = decompose, tmp / "g1.csv"
+    if case == "malformed-csv":
+        bad.write_text("x\n")
+    elif case == "missing-file":
+        bad.unlink()
+    else:
+        assert cli.main(decompose) == 0
+        bad = tmp / "spec.json"
+        spec_obj = json.loads(bad.read_text())
+        del spec_obj["n"]
+        bad.write_text(json.dumps(spec_obj))
+        argv = ["solve", "--spec", str(bad), "--plan", str(tmp / "plan.json"),
+                "--mode", "model-free", "--out", str(tmp / "gain.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_robust_command(toy_files):
     tmp, spec, model, x0 = toy_files
     cli.main([

@@ -366,12 +366,12 @@ class TestCollectBatch:
     def test_rich_excitation_flags_ok(self):
         problem = scalar_cluster(windows=4)
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
-        assert batch.rank_ok and batch.rank == problem.q
+        assert batch.rank == problem.q
 
     def test_zero_initial_state_is_fine(self):
         problem = scalar_cluster(windows=4)
         batch = collect_batch(SCALAR_PLANT, problem, [0.0])
-        assert batch.rank_ok
+        assert batch.rank == problem.q
 
     def test_step_must_divide_window(self):
         problem = scalar_cluster()
@@ -447,7 +447,7 @@ class TestCollectBatch:
             collect_batch(plants[0], problems[0], X0[0])
         for c in (1, 2):
             one = collect_batch(plants[c], problems[c], X0[c])
-            assert stacked[c].rank == one.rank and stacked[c].rank_ok
+            assert stacked[c].rank == one.rank == problems[c].q
             for name in ("x_start", "x_end", "ixx", "ixu"):
                 got, want = getattr(stacked[c], name), getattr(one, name)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -464,13 +464,57 @@ class TestCollectBatch:
             np.testing.assert_allclose(results[c].ixx, one.ixx, rtol=1e-13)
             np.testing.assert_allclose(results[c].x_end, one.x_end, rtol=1e-13)
 
+    def test_cluster_stack_drops_blown_up_callable_clusters(self):
+        # the callable version: the maps are read once per collection, so
+        # the survivors redo the window of the blow-up without evaluating
+        # any plant again
+        calls = [0, 0, 0]
+
+        def counted(c, a):
+            def plant(x, u):
+                calls[c] += 1
+                return a * x + u
+            return plant
+
+        plants = [counted(0, 0.0), counted(1, 30.0), counted(2, 0.0)]
+        problems = [scalar_cluster(seed=s, k0=k0, windows=12)
+                    for s, k0 in ((1, 1.5), (2, 0.0), (3, 2.0))]
+        results = collect_batch(plants, problems, np.ones((3, 1)))
+        assert isinstance(results[1], NonFinite) and "blew up" in str(results[1])
+        assert calls == [4 * (1 + 3 * 1) + 3] * 3
+        for c in (0, 2):
+            one = collect_batch(plants[c], problems[c], [1.0])
+            np.testing.assert_allclose(results[c].ixx, one.ixx, rtol=1e-13)
+            np.testing.assert_allclose(results[c].x_end, one.x_end, rtol=1e-13)
+
+    def test_callable_evaluated_once_per_collection(self):
+        # the step maps cost 4 (n + 3 m) evaluations and the linearity check
+        # 3 per cluster, whatever the window count
+        A, B = msd_pair()
+        calls = [0, 0]
+
+        def counted(c):
+            def plant(x, u):
+                calls[c] += 1
+                return A @ x + B @ u
+            return plant
+
+        problems = [ClusterProblem(4, 2, np.eye(4), np.eye(2), initial_gain=MSD_GAIN,
+                                   excitation=ExcitationConfig(seed=20 + c),
+                                   window_count=2 * unknown_count(4, 2))
+                    for c in range(2)]
+        assert problems[0].window_count >= 2
+        batches = collect_batch([counted(0), counted(1)], problems, np.ones((2, 4)))
+        assert all(b.rank == problems[0].q for b in batches)
+        assert calls == [4 * (4 + 3 * 2) + 3] * 2
+
     def test_cluster_stack_admits_summed_bytes(self, monkeypatch):
         # physical memory that fits one problem but not two
         problem = scalar_cluster(windows=6)
         one = regression_bytes(1, 1, 6)
         pages = {"SC_PHYS_PAGES": 3 * one // 2, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(rl.os, "sysconf", pages.__getitem__)
-        assert collect_batch(SCALAR_PLANT, problem, [1.0]).rank_ok
+        assert collect_batch(SCALAR_PLANT, problem, [1.0]).rank == problem.q
         with pytest.raises(BudgetExceeded, match=rf"predicted {2 * one} bytes"):
             collect_batch([SCALAR_PLANT] * 2, [problem, scalar_cluster(windows=6)],
                           np.ones((2, 1)))
@@ -480,8 +524,8 @@ class TestCollectBatch:
             collect_batch([SCALAR_PLANT] * 2, [scalar_cluster(), scalar_cluster(windows=6)],
                           np.ones((2, 1)))
 
-    @pytest.mark.parametrize("x0", [[[1.0], [1.0, 2.0]], np.ones((3, 1))],
-                             ids=["ragged", "wrong-count"])
+    @pytest.mark.parametrize("x0", [[[1.0], [1.0, 2.0]], np.ones((3, 1)), np.ones((1, 2))],
+                             ids=["ragged", "wrong-count", "transposed"])
     def test_cluster_stack_rejects_bad_initial_states(self, x0):
         with pytest.raises(DimensionMismatch):
             collect_batch([SCALAR_PLANT] * 2, [scalar_cluster()] * 2, x0)
@@ -574,7 +618,7 @@ class TestOffPolicyPi:
     def test_batch_without_rank_flag_rejected(self):
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
-        batch.rank_ok = False
+        batch.rank = problem.q - 1
         with pytest.raises(PreconditionFailed):
             offpolicy_pi(batch, problem)
 
