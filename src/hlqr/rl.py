@@ -18,13 +18,14 @@ the cluster's own weights and convergence test, and end in one stacked
 final decay probe of the learned gains. The time of a stacked phase is
 split evenly over the clusters in it (their ``ClusterStats.wall_ms``).
 
-The data settings are fixed: RK4 step dt = 1e-3, windows of 0.1 s,
-L = 2q windows for q regression unknowns, and a decay probe of 1 s at a
-step of 1e-2. Every plant advances by its RK4 step map, read off the one
-RK4 body once per ``simulate`` call or collection, from A/B matrices or by
-evaluating a black-box callable on unit states and inputs. The decay probe
-is the horizon power of the step map, with no rollout. A callable plant
-must thus be linear and time-invariant (checked at one point), as the
+The data settings are fixed: RK4 step dt = 5e-3, windows of 0.1 s (20
+steps) integrated by the composite Simpson rule, L = 2q windows for q
+regression unknowns, and a decay probe of 1 s at a step of 1e-2. Every
+plant advances by its RK4 step map, read off the one RK4 body once per
+``simulate`` call or collection, from A/B matrices or by evaluating a
+black-box callable on unit states and inputs. The decay probe is the
+horizon power of the step map, with no rollout. A callable plant must
+thus be linear and time-invariant (checked at one point), as the
 integral policy-iteration regression already assumes.
 """
 
@@ -92,6 +93,34 @@ class ExcitationSignal:
             return np.zeros((times.size, self.input_dim))
         phases = times[:, None, None] * self.freqs[None] + self.phases[None]
         return self.amplitude * np.sin(phases).sum(axis=2)
+
+
+def _signal_stack(signals: Sequence[ExcitationSignal | None], m: int):
+    """The frequencies and phases of r signals on m channels as (r, m, c)
+    stacks and their (r,) amplitudes, so that the stack is sampled with one
+    ``np.sin``. A missing signal has amplitude 0, and a signal with fewer
+    than c components is padded with zero frequencies and phases, whose
+    sin(0) = 0 adds nothing. A cluster's samples are those of its own
+    ``ExcitationSignal.sample``, bit for bit when every signal has c
+    components (padding changes only the summation order). None when no
+    signal is given."""
+    if all(s is None for s in signals):
+        return None
+    c = max(s.freqs.shape[1] for s in signals if s is not None)
+    freqs, phases = np.zeros((2, len(signals), m, c))
+    amps = np.zeros(len(signals))
+    for i, s in enumerate(signals):
+        if s is not None:
+            k = s.freqs.shape[1]
+            freqs[i, :, :k], phases[i, :, :k], amps[i] = s.freqs, s.phases, s.amplitude
+    return freqs, phases, amps
+
+
+def _sample_stack(signals, times: np.ndarray) -> np.ndarray:
+    """The (T, r, m) samples of a ``_signal_stack`` at T times."""
+    freqs, phases, amps = signals
+    angles = times[:, None, None, None] * freqs + phases
+    return amps[:, None] * np.sin(angles).sum(axis=3)
 
 
 def _excitation_samples(excitation, input_dim: int, times: np.ndarray) -> np.ndarray:
@@ -337,7 +366,7 @@ def empirical_abscissa(plant, gain) -> float | np.ndarray:
 
 @dataclass(eq=False)
 class TrajectoryBatch:
-    """Per-window endpoint states and trapezoidal input/state moment
+    """Per-window endpoint states and composite Simpson input/state moment
     integrals, plus the numerical rank q of the regression data."""
 
     x_start: np.ndarray  # (L, n)
@@ -389,11 +418,13 @@ def _reduced_rows(batch_ixx: np.ndarray, batch_ixu: np.ndarray) -> np.ndarray:
     return np.hstack([quad, cross])
 
 
-def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
+def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
                   deadline: float | None = None) -> TrajectoryBatch | list:
     """Record L windows of closed-loop data under the cluster's initial gain
-    plus exploration noise, with trapezoidal window integrals at the
-    simulation step.
+    plus exploration noise, with composite Simpson window integrals on the
+    simulation steps, weights dt/3 [1, 4, 2, ..., 4, 1]. ``dt`` must be
+    finite and positive and divide the window into an even number of steps,
+    else ``PreconditionFailed`` is raised.
 
     Before anything is allocated, the bytes that collection and the
     regression will certainly need (``decomp.regression_bytes``) are
@@ -404,7 +435,9 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
 
     The step maps are read once per collection and every window runs the
     step loop of ``simulate`` on them, so a callable plant is evaluated
-    4 (n + 3m) + 3 times per cluster and collection.
+    4 (n + 3m) + 3 times per cluster and collection. The excitation
+    signals are stacked once per collection, and each window samples the
+    stage times of every live cluster with one ``np.sin``.
 
     A list of r problems with equal dimensions and window settings, with
     ``plant`` the list of their plants and ``x0`` an (r, n) stack, is
@@ -431,26 +464,32 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     if any((c.state_dim, c.input_dim, c.sample_interval, c.window_count) != (n, m, delta, L)
            for c in clusters):
         raise DimensionMismatch("stacked clusters must share dimensions and window settings")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise PreconditionFailed(f"integration step must be finite and positive, got {dt}")
     steps = round(delta / dt)
     if steps < 1 or abs(delta / dt - steps) > 1e-9 * max(1.0, delta / dt):
         raise PreconditionFailed("integration step must divide the window length")
+    if steps % 2:
+        raise PreconditionFailed(
+            f"Simpson window integrals need an even step count per window, got {steps}")
     _check_memory(clusters)
     K0 = _as_stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters],
                    "initial gains")
     if K0.shape != (r, m, n):
         raise DimensionMismatch(f"initial gains must be {m} x {n}")
-    excitations = [None if c.excitation is None else ExcitationSignal(c.excitation, m)
-                   for c in clusters]
+    signals = _signal_stack([None if c.excitation is None
+                             else ExcitationSignal(c.excitation, m) for c in clusters], m)
     X0 = _as_stack(x0, "initial states")
     if not clustered and X0.size == n:
         X0 = X0.reshape(1, n)
     if X0.shape != (r, n):
         raise DimensionMismatch(f"initial states of shape {X0.shape} for {r} cluster(s)")
-    weights = np.full(steps + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
+    weights = np.full(steps + 1, 2.0 * dt / 3.0)
+    weights[1::2] = 4.0 * dt / 3.0
+    weights[0] = weights[-1] = dt / 3.0
     stage_offsets = 0.5 * dt * np.arange(2 * steps + 1)
-    Phi_t, G_t = _step_maps(plants, K0, n, m, dt,
-                            forced=any(e is not None for e in excitations))
+    Phi_t, G_t = _step_maps(plants, K0, n, m, dt, forced=signals is not None)
+    E = np.zeros((2 * steps + 1, r, m))
     x_start, x_end = np.empty((r, L, n)), np.empty((r, L, n))
     ixx, ixu = np.empty((r, L, n, n)), np.empty((r, L, n, m))
     results: list = [None] * r
@@ -459,8 +498,8 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
     w = 0
     while w < L and live.size:
         _check_budget(start, w, L, deadline)
-        times = w * delta + stage_offsets
-        E = np.stack([_excitation_samples(excitations[i], m, times) for i in live], axis=1)
+        if signals is not None:
+            E = _sample_stack(signals, w * delta + stage_offsets)
         try:
             X, U = _window(Phi_t, G_t, K, E, x)
         except NonFinite as exc:
@@ -468,8 +507,9 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 1e-3,
             for i in live[list(exc.clusters)]:
                 results[i] = exc
             keep = np.delete(np.arange(live.size), exc.clusters)
-            live, x, K, Phi_t = live[keep], x[keep], K[keep], Phi_t[keep]
+            live, x, K, Phi_t, E = live[keep], x[keep], K[keep], Phi_t[keep], E[:, keep]
             G_t = G_t and tuple(G[keep] for G in G_t)
+            signals = signals and tuple(a[keep] for a in signals)
             continue
         xs = X.transpose(1, 0, 2)                           # (r, steps + 1, n)
         xw = (xs * weights[:, None]).swapaxes(1, 2)

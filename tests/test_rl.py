@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hlqr import matkit, rl
+from hlqr.bench import derive_initial_gain
 from hlqr.decomp import (
     ClusterProblem,
     ExcitationConfig,
@@ -378,6 +379,48 @@ class TestCollectBatch:
         with pytest.raises(PreconditionFailed):
             collect_batch(SCALAR_PLANT, problem, [1.0], dt=3e-3)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+    def test_step_must_be_finite_and_positive(self, dt):
+        with pytest.raises(PreconditionFailed, match="finite and positive"):
+            collect_batch(SCALAR_PLANT, scalar_cluster(), [1.0], dt=dt)
+
+    def test_simpson_needs_even_step_count(self):
+        # 2e-2 divides the 0.1 s window into 5 steps
+        with pytest.raises(PreconditionFailed, match="even step count"):
+            collect_batch(SCALAR_PLANT, scalar_cluster(), [1.0], dt=2e-2)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_step_learns_riccati_gain(self, seed):
+        # Simpson window integrals at the default step leave the learned gain
+        # of the mass-spring-damper within 1e-4 of the Riccati gain
+        A, B = msd_pair()
+        problem = ClusterProblem(4, 2, np.eye(4), np.eye(2),
+                                 initial_gain=derive_initial_gain(A, B, seed=11),
+                                 excitation=ExcitationConfig(seed=seed),
+                                 window_count=2 * unknown_count(4, 2))
+        plant = AgentModel(A, B)
+        batch = collect_batch(plant, problem, np.full(4, 0.5))
+        K, _, _ = offpolicy_pi(batch, problem, plant=plant)
+        _, K_are = matkit.solve_are(A, B, np.eye(4), np.eye(2))
+        assert np.linalg.norm(K - K_are) <= 1e-4 * np.linalg.norm(K_are)
+
+    def test_stacked_samples_equal_each_signal(self):
+        # one sin over the stack gives each cluster its own signal's samples,
+        # bit for bit where the component counts agree; zero padding of a
+        # shorter signal changes only the summation order
+        signals = [rl.ExcitationSignal(ExcitationConfig(seed=4), 2), None,
+                   rl.ExcitationSignal(ExcitationConfig(seed=5, amplitude=0.0), 2),
+                   rl.ExcitationSignal(ExcitationConfig(seed=6, amplitude=0.3), 2),
+                   rl.ExcitationSignal(ExcitationConfig(seed=7, component_count=5), 2)]
+        times = 3.7 + 2.5e-3 * np.arange(41)
+        samples = rl._sample_stack(rl._signal_stack(signals, 2), times)
+        assert samples.shape == (41, 5, 2)
+        for i, signal in enumerate(signals[:4]):
+            want = np.zeros((41, 2)) if signal is None else signal.sample(times)
+            assert np.array_equal(samples[:, i], want)
+        np.testing.assert_allclose(samples[:, 4], signals[4].sample(times), rtol=0, atol=1e-14)
+        assert rl._signal_stack([None, None], 2) is None
+
     def test_deterministic(self):
         a = collect_batch(SCALAR_PLANT, scalar_cluster(), [1.0])
         b = collect_batch(SCALAR_PLANT, scalar_cluster(), [1.0])
@@ -712,7 +755,7 @@ class TestHierarchicalSolve:
             window_count=2 * ClusterProblem(2, 2, spec.Q, spec.R).q,
         )
         plant = AgentModel(calA, calB)
-        batch = collect_batch(plant, problem, np.full(2, 1.0 / np.sqrt(2)), 1e-3)
+        batch = collect_batch(plant, problem, np.full(2, 1.0 / np.sqrt(2)))
         K_direct, _, _ = offpolicy_pi(batch, problem, plant=plant)
         np.testing.assert_allclose(K, K_direct, atol=1e-12)
 
