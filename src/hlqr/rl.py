@@ -88,22 +88,27 @@ class ExcitationSignal:
         self.input_dim = input_dim
 
     def sample(self, times) -> np.ndarray:
+        """The (T, m) samples at T times, from the table sampler of
+        ``_signal_stack`` started at t = 0 with the times as offsets."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self.amplitude == 0.0:
-            return np.zeros((times.size, self.input_dim))
-        phases = times[:, None, None] * self.freqs[None] + self.phases[None]
-        return self.amplitude * np.sin(phases).sum(axis=2)
+        return _sample_stack(_signal_stack([self], self.input_dim, times), 0.0)[:, 0]
 
 
-def _signal_stack(signals: Sequence[ExcitationSignal | None], m: int):
+def _signal_stack(signals: Sequence[ExcitationSignal | None], m: int, offsets: np.ndarray):
     """The frequencies and phases of r signals on m channels as (r, m, c)
-    stacks and their (r,) amplitudes, so that the stack is sampled with one
-    ``np.sin``. A missing signal has amplitude 0, and a signal with fewer
-    than c components is padded with zero frequencies and phases, whose
-    sin(0) = 0 adds nothing. A cluster's samples are those of its own
-    ``ExcitationSignal.sample``, bit for bit when every signal has c
-    components (padding changes only the summation order). None when no
-    signal is given."""
+    stacks, and their (r, m, T, 2c) table of a cos(w s) and a sin(w s) at
+    the T ``offsets`` s. By angle addition,
+
+        e(t0 + s) = a sum_j [sin(w_j t0 + p_j) cos(w_j s) + cos(w_j t0 + p_j) sin(w_j s)],
+
+    so the table is built once and each start time t0 costs only the
+    sines and cosines of its (r, m, c) start angles (``_sample_stack``).
+    A missing signal has amplitude 0, and a signal with fewer than c
+    components is padded with zero frequencies and phases, whose terms
+    sin(0) cos(0 s) + cos(0) sin(0 s) = 0 add nothing. A cluster's samples
+    are those of its own ``ExcitationSignal.sample`` at t0 = 0, bit for bit
+    when every signal has c components (padding changes only the summation
+    order). None when no signal is given."""
     if all(s is None for s in signals):
         return None
     c = max(s.freqs.shape[1] for s in signals if s is not None)
@@ -113,26 +118,26 @@ def _signal_stack(signals: Sequence[ExcitationSignal | None], m: int):
         if s is not None:
             k = s.freqs.shape[1]
             freqs[i, :, :k], phases[i, :, :k], amps[i] = s.freqs, s.phases, s.amplitude
-    return freqs, phases, amps
+    angles = freqs[:, :, None] * offsets[:, None]                # (r, m, T, c)
+    table = np.concatenate((np.cos(angles), np.sin(angles)), axis=3)
+    table *= amps[:, None, None, None]
+    return freqs, phases, table
 
 
-def _sample_stack(signals, times: np.ndarray) -> np.ndarray:
-    """The (T, r, m) samples of a ``_signal_stack`` at T times."""
-    freqs, phases, amps = signals
-    angles = times[:, None, None, None] * freqs + phases
-    return amps[:, None] * np.sin(angles).sum(axis=3)
+def _sample_stack(signals, t0: float) -> np.ndarray:
+    """The (T, r, m) samples of a ``_signal_stack`` at the times t0 + s of
+    its table's offsets s: one batched matmul of the table with the sines
+    and cosines of the start angles w t0 + p."""
+    freqs, phases, table = signals
+    angles = t0 * freqs + phases
+    starts = np.concatenate((np.sin(angles), np.cos(angles)), axis=2)
+    return (table @ starts[..., None])[..., 0].transpose(2, 0, 1)
 
 
 def _excitation_samples(excitation, input_dim: int, times: np.ndarray) -> np.ndarray:
+    """The (T, m) samples of no excitation (zeros) or of a callable t -> R^m."""
     if excitation is None:
         return np.zeros((times.size, input_dim))
-    if isinstance(excitation, ExcitationConfig):
-        excitation = ExcitationSignal(excitation, input_dim)
-    if isinstance(excitation, ExcitationSignal):
-        if excitation.input_dim != input_dim:
-            raise DimensionMismatch("excitation channel count does not match input dim")
-        return excitation.sample(times)
-    # arbitrary callable t -> R^m
     rows = [np.asarray(excitation(t), dtype=float).ravel() for t in times]
     if any(row.size != input_dim for row in rows):
         raise DimensionMismatch(f"excitation must return {input_dim} values per time")
@@ -328,8 +333,17 @@ def simulate(plant, policy, excitation, x0, dt: float, horizon: float) -> Trajec
         raise DimensionMismatch(f"policy is {K.shape[1:]}, state dim is {dim}")
     steps = int(round(horizon / dt))
     stage_times = 0.5 * dt * np.arange(2 * steps + 1)
-    E = np.stack([_excitation_samples(e, m, stage_times) for e in excitations],
-                 axis=1)                                   # (2 steps + 1, r, m)
+    excitations = [ExcitationSignal(e, m) if isinstance(e, ExcitationConfig) else e
+                   for e in excitations]
+    signals = [e if isinstance(e, ExcitationSignal) else None for e in excitations]
+    if any(s is not None and s.input_dim != m for s in signals):
+        raise DimensionMismatch("excitation channel count does not match input dim")
+    stack = _signal_stack(signals, m, stage_times)
+    E = (np.zeros((stage_times.size, r, m)) if stack is None
+         else _sample_stack(stack, 0.0))                   # (2 steps + 1, r, m)
+    for i, (s, e) in enumerate(zip(signals, excitations)):
+        if s is None:
+            E[:, i] = _excitation_samples(e, m, stage_times)
     Phi_t, G_t = _step_maps(plants, K, dim, m, dt,
                             forced=any(e is not None for e in excitations))
     X, U = _window(Phi_t, G_t, K, E, x)
@@ -436,8 +450,10 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
     The step maps are read once per collection and every window runs the
     step loop of ``simulate`` on them, so a callable plant is evaluated
     4 (n + 3m) + 3 times per cluster and collection. The excitation
-    signals are stacked once per collection, and each window samples the
-    stage times of every live cluster with one ``np.sin``.
+    signals are stacked, with their table at the window's stage offsets,
+    once per collection; each window then samples every live cluster by
+    angle addition from the sines and cosines of its start angles
+    (``_sample_stack``).
 
     A list of r problems with equal dimensions and window settings, with
     ``plant`` the list of their plants and ``x0`` an (r, n) stack, is
@@ -477,8 +493,6 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
                    "initial gains")
     if K0.shape != (r, m, n):
         raise DimensionMismatch(f"initial gains must be {m} x {n}")
-    signals = _signal_stack([None if c.excitation is None
-                             else ExcitationSignal(c.excitation, m) for c in clusters], m)
     X0 = _as_stack(x0, "initial states")
     if not clustered and X0.size == n:
         X0 = X0.reshape(1, n)
@@ -487,7 +501,9 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
     weights = np.full(steps + 1, 2.0 * dt / 3.0)
     weights[1::2] = 4.0 * dt / 3.0
     weights[0] = weights[-1] = dt / 3.0
-    stage_offsets = 0.5 * dt * np.arange(2 * steps + 1)
+    signals = _signal_stack([None if c.excitation is None
+                             else ExcitationSignal(c.excitation, m) for c in clusters],
+                            m, 0.5 * dt * np.arange(2 * steps + 1))
     Phi_t, G_t = _step_maps(plants, K0, n, m, dt, forced=signals is not None)
     E = np.zeros((2 * steps + 1, r, m))
     x_start, x_end = np.empty((r, L, n)), np.empty((r, L, n))
@@ -499,7 +515,7 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
     while w < L and live.size:
         _check_budget(start, w, L, deadline)
         if signals is not None:
-            E = _sample_stack(signals, w * delta + stage_offsets)
+            E = _sample_stack(signals, w * delta)
         try:
             X, U = _window(Phi_t, G_t, K, E, x)
         except NonFinite as exc:

@@ -225,6 +225,27 @@ class TestVerifyPlan:
         plan = DecompositionPlan(T, (2, 1), phi, psi)
         assert verify_plan(plan, G1_3X3, G2_3X3).passed
 
+    def test_residuals_equal_block_diag_formula(self, rng):
+        # blocks subtracted in place give the residuals of
+        # ||T G T' - block_diag(blocks)|| bit for bit on a random plan
+        import scipy.linalg as sla
+
+        sizes = (2, 1, 3, 2)
+        T, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        G1, G2 = (random_symmetric(rng, 8) + 8 * np.eye(8) for _ in range(2))
+        phi = [rng.standard_normal((k, k)) for k in sizes]
+        psi = [rng.standard_normal((k, k)) for k in sizes]
+        check = verify_plan(DecompositionPlan(T, sizes, phi, psi), G1, G2)
+        assert check.off_block_g1 == np.linalg.norm(T @ G1 @ T.T - sla.block_diag(*phi))
+        assert check.off_block_g2 == np.linalg.norm(T @ G2 @ T.T - sla.block_diag(*psi))
+        assert check.off_block_g1 > 0 and check.off_block_g2 > 0
+
+    def test_rejects_block_of_wrong_size(self):
+        plan = DecompositionPlan(np.eye(3), (2, 1), [np.eye(2), np.eye(2)],
+                                 [np.eye(2), np.eye(1)])
+        with pytest.raises(DimensionMismatch):
+            verify_plan(plan, np.eye(3), np.eye(3))
+
 
 class TestProjectProblem:
     def test_scalar_blocks(self, rng):

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -405,21 +406,42 @@ class TestCollectBatch:
         assert np.linalg.norm(K - K_are) <= 1e-4 * np.linalg.norm(K_are)
 
     def test_stacked_samples_equal_each_signal(self):
-        # one sin over the stack gives each cluster its own signal's samples,
-        # bit for bit where the component counts agree; zero padding of a
-        # shorter signal changes only the summation order
+        # one table over the stack gives each cluster its own signal's
+        # samples, bit for bit where the component counts agree; zero
+        # padding of a shorter signal changes only the summation order
         signals = [rl.ExcitationSignal(ExcitationConfig(seed=4), 2), None,
                    rl.ExcitationSignal(ExcitationConfig(seed=5, amplitude=0.0), 2),
                    rl.ExcitationSignal(ExcitationConfig(seed=6, amplitude=0.3), 2),
                    rl.ExcitationSignal(ExcitationConfig(seed=7, component_count=5), 2)]
         times = 3.7 + 2.5e-3 * np.arange(41)
-        samples = rl._sample_stack(rl._signal_stack(signals, 2), times)
+        samples = rl._sample_stack(rl._signal_stack(signals, 2, times), 0.0)
         assert samples.shape == (41, 5, 2)
         for i, signal in enumerate(signals[:4]):
             want = np.zeros((41, 2)) if signal is None else signal.sample(times)
             assert np.array_equal(samples[:, i], want)
         np.testing.assert_allclose(samples[:, 4], signals[4].sample(times), rtol=0, atol=1e-14)
-        assert rl._signal_stack([None, None], 2) is None
+        assert rl._signal_stack([None, None], 2, times) is None
+
+    def test_table_samples_match_direct_sines(self):
+        # angle addition from the offset table against a sum_j sin(w_j t + p_j)
+        # at window starts t0 up to 1e4 s; the difference is round-off of
+        # the angles, which grows with w_max t
+        signals = [rl.ExcitationSignal(ExcitationConfig(seed=s), 2) for s in (3, 8)]
+        signals += [None, rl.ExcitationSignal(ExcitationConfig(seed=9, amplitude=0.0), 2)]
+        offsets = 2.5e-3 * np.arange(41)
+        stack = rl._signal_stack(signals, 2, offsets)
+        eps = np.finfo(float).eps
+        for t0 in (0.0, 0.1, 3.7, 208.0, 1234.5, 1e4):
+            samples = rl._sample_stack(stack, t0)
+            assert samples.shape == (41, 4, 2)
+            for i, signal in enumerate(signals[:2]):
+                angles = (t0 + offsets)[:, None, None] * signal.freqs + signal.phases
+                direct = signal.amplitude * np.sin(angles).sum(axis=2)
+                c, w_max = signal.freqs.shape[1], signal.freqs.max()
+                bound = 4 * eps * signal.amplitude * c * (1.0 + w_max * (t0 + offsets[-1]))
+                assert np.max(np.abs(samples[:, i] - direct)) <= bound
+            # no signal and a zero amplitude give exact zeros
+            assert not samples[:, 2:].any()
 
     def test_deterministic(self):
         a = collect_batch(SCALAR_PLANT, scalar_cluster(), [1.0])
@@ -468,10 +490,14 @@ class TestCollectBatch:
             collect_batch(plant, problem, np.zeros(problem.state_dim),
                           deadline=time.monotonic() - 1.0)
 
-    def test_unreachable_deadline_refused(self):
+    def test_unreachable_deadline_refused(self, monkeypatch):
+        # a clock that advances 1 ms per read: after 10 windows, 100,000
+        # windows project to ~110 s against a 5 s deadline on any host
+        ticks = itertools.count()
+        monkeypatch.setattr(rl.time, "monotonic", lambda: 1e-3 * next(ticks))
         problem = scalar_cluster(windows=100_000)
         with pytest.raises(BudgetExceeded, match="projected completion"):
-            collect_batch(SCALAR_PLANT, problem, [1.0], deadline=time.monotonic() + 5.0)
+            collect_batch(SCALAR_PLANT, problem, [1.0], deadline=5.0)
 
     def test_cluster_stack_matches_single_batches(self, rng):
         r = 3
