@@ -1,9 +1,11 @@
 """Dense real linear-algebra kernels shared by the rest of the package.
 
 Kronecker products, symmetric eigendecompositions, sparsity-pattern
-partitions, Lyapunov and Riccati solvers, and the matrix file formats
-used by the CLI. Everything operates on plain float ``numpy`` arrays and
-is pure: no globals, safe to call concurrently.
+partitions, a Lyapunov solver, the Riccati solver (structure-preserving
+doubling on n-square blocks, Chu, Fan & Lin 2005, polished by Kleinman
+steps), and the matrix file formats used by the CLI. Everything operates
+on plain float ``numpy`` arrays and is pure: no globals, safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ from .errors import (
 DEFAULT_TOL = 1e-8
 ORTH_TOL = 1e-10
 RANK_RTOL = 1e-9
-# Kleinman (Newton) steps solve_are may take to polish its Schur seed.
+# Kleinman (Newton) steps solve_are may take to polish its doubling seed.
 NEWTON_STEPS = 8
+# Doubling stops when max|H_k+1 - H_k| <= SDA_RTOL * max|H_k+1|. After k
+# doublings the error is ~|mu|^(2^k) for the Cayley-transformed spectrum mu,
+# so 60 doublings converge unless 1 - |mu| is below ~1e-16, where mu is on
+# the unit circle to double precision (|lambda|/gamma beyond ~1e16).
+SDA_RTOL = 1e-15
+SDA_MAX_DOUBLINGS = 60
 
 
 class SymEig(NamedTuple):
@@ -187,15 +195,55 @@ def are_residual(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(A.T @ P + P @ A + Q - BtP.T @ np.linalg.solve(R, BtP)))
 
 
-def _schur_riccati(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Riccati solution P = U21 U11^-1 from the stable invariant subspace
-    [U11; U21] of the Hamiltonian [[A, -B R^-1 B'], [-Q, -A']] (Laub 1979)."""
+def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, str]:
+    """Stabilizing solution of A'P + PA + Q - PGP = 0 by the structure-
+    preserving doubling algorithm (Chu, Fan & Lin, Linear Algebra Appl.
+    396, 2005), with a summary of the run for error messages.
+
+    The Cayley transform with gamma = 1 + ||A||_1 > rho(A) (so A - gamma I
+    is nonsingular) gives A_0, G_0, H_0; each doubling is one solve with a
+    stacked right-hand side and squares the transformed spectrum, so H_k
+    converges quadratically to P. It stops when max|dH| <= SDA_RTOL *
+    max|H|; a singular solve, a non-finite or zero iterate, or
+    SDA_MAX_DOUBLINGS doublings without convergence raises
+    ``SolverDiverged``.
+    """
     n = A.shape[0]
-    H = as_matrix(np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]]), "Hamiltonian")
-    _, U, stable = sla.schur(H, output="real", sort="lhp")
-    if stable != n:
-        raise SolverDiverged(f"Hamiltonian has {stable} stable eigenvalues, expected {n}")
-    return symmetrize(np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T)
+    eye = np.eye(n)
+    gamma = 1.0 + float(np.linalg.norm(A, 1))
+    doublings, step = 0, np.inf
+
+    def summary() -> str:
+        return f"gamma {gamma:.3g}, {doublings} doublings, last relative step {step:.1e}"
+
+    def diverged(phase: str) -> SolverDiverged:
+        return SolverDiverged(f"Riccati doubling {phase} ({summary()})")
+
+    # Overflow shows up as a non-finite or zero iterate, which is checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            Ag_inv = np.linalg.inv(A - gamma * eye)
+            AgG = Ag_inv @ G
+            W_inv = np.linalg.inv(A.T - gamma * eye + Q @ AgG)
+            Ak = eye + 2.0 * gamma * W_inv.T
+            Gk = 2.0 * gamma * (AgG @ W_inv)
+            Hk = 2.0 * gamma * (W_inv @ (Q @ Ag_inv))
+            while doublings < SDA_MAX_DOUBLINGS:
+                doublings += 1
+                X = np.linalg.solve(eye + Gk @ Hk, np.concatenate((Ak, Gk), axis=1))
+                dH = Ak.T @ (Hk @ X[:, :n])
+                Gk = Gk + Ak @ X[:, n:] @ Ak.T
+                Ak = Ak @ X[:, :n]
+                Hk = Hk + dH
+                dmax, hmax = abs(dH).max(), abs(Hk).max()
+                if not (0.0 < hmax < np.inf and dmax < np.inf):
+                    raise diverged("breakdown: non-finite or zero iterate")
+                step = dmax / hmax
+                if step <= SDA_RTOL:
+                    return symmetrize(Hk), summary()
+        except np.linalg.LinAlgError as exc:
+            raise diverged(f"breakdown: {exc}") from exc
+    raise diverged(f"reached the cap of {SDA_MAX_DOUBLINGS} doublings")
 
 
 def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
@@ -204,10 +252,12 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
     Returns (P, K) with P symmetric positive definite, K = R^-1 B' P and
     A - BK Hurwitz, meeting the residual bound
     ||A'P + PA + Q - P B R^-1 B' P||_F <= tol * ||P||_F * max(1, ||A||_F)^2.
-    P is taken from the stable Schur subspace of the Hamiltonian (Laub
-    1979); while the bound is missed, up to ``NEWTON_STEPS`` Kleinman
-    (Newton) steps polish it. A non-stabilizing gain, a bound still missed
-    after those steps, or a numerical breakdown raises ``SolverDiverged``.
+    P is seeded by structure-preserving doubling on n-square blocks (Chu,
+    Fan & Lin 2005; see ``_sda_riccati`` for its gamma and stop rules);
+    while the bound is missed, up to ``NEWTON_STEPS`` Kleinman (Newton)
+    steps polish it. A non-stabilizing gain, a bound still missed after
+    those steps, or a numerical breakdown raises ``SolverDiverged`` naming
+    the phase, gamma, the doublings taken and the last relative step.
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
@@ -225,12 +275,16 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
         raise PreconditionFailed("(Q^1/2, A) is not observable")
 
     a_scale = max(1.0, float(np.linalg.norm(A))) ** 2
+    G = as_matrix(B @ np.linalg.solve(R, B.T), "Hamiltonian")
+    P, seed_run = _sda_riccati(A, G, Q)
     try:
-        P = _schur_riccati(A, B, Q, R)
         K = np.linalg.solve(R, B.T @ P)
         for step in range(NEWTON_STEPS + 1):
             if spectral_abscissa(A - B @ K) >= 0:
-                raise SolverDiverged("Riccati gain does not stabilize A - BK")
+                raise SolverDiverged(
+                    f"Newton polish: Riccati gain does not stabilize A - BK after "
+                    f"{step} Newton steps (doubling seed: {seed_run})"
+                )
             if are_residual(A, B, Q, R, P) <= tol * float(np.linalg.norm(P)) * a_scale:
                 return P, K
             if step == NEWTON_STEPS:
@@ -238,8 +292,13 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
             P = solve_lyapunov(A - B @ K, symmetrize(Q + K.T @ R @ K))
             K = np.linalg.solve(R, B.T @ P)
     except np.linalg.LinAlgError as exc:
-        raise SolverDiverged(f"Riccati solve broke down: {exc}") from exc
-    raise SolverDiverged(f"Riccati residual bound missed after {NEWTON_STEPS} Newton steps")
+        raise SolverDiverged(
+            f"Newton polish broke down: {exc} (doubling seed: {seed_run})"
+        ) from exc
+    raise SolverDiverged(
+        f"Newton polish: Riccati residual bound missed after {NEWTON_STEPS} Newton steps "
+        f"(doubling seed: {seed_run})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from hlqr import matkit
+from hlqr import bench, matkit
 from hlqr.errors import (
     DimensionMismatch,
     NotHurwitz,
@@ -17,6 +20,20 @@ PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
 
 dim = st.integers(min_value=1, max_value=4)
+
+
+def assert_matches_scipy(P, A, B, Q, R):
+    """solve_are's P against scipy's independent Riccati solver."""
+    P_ref = sla.solve_continuous_are(A, B, Q, R)
+    assert np.linalg.norm(P - P_ref) <= 1e-9 * np.linalg.norm(P_ref)
+
+
+def stiff_instance():
+    """Q = 1e4 I, R = 1e-4 I: closed-loop poles from ~1 to ~2e4."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 1))
+    return A, B, 1e4 * np.eye(3), 1e-4 * np.eye(1)
 
 
 def small_matrix(rows, cols, rng_seed):
@@ -191,6 +208,7 @@ class TestSolveAre:
             assert np.min(np.linalg.eigvalsh(P)) > 0
             bound = 1e-8 * np.linalg.norm(P) * max(1.0, np.linalg.norm(A)) ** 2
             assert matkit.are_residual(A, B, Q, R, P) <= bound
+            assert_matches_scipy(P, A, B, Q, R)
 
     def test_rejects_uncontrollable(self):
         with pytest.raises(PreconditionFailed):
@@ -211,23 +229,80 @@ class TestSolveAre:
             matkit.solve_are([[0.0]], [[1.0]], [[0.0]], [[1.0]])
 
     def test_stiff_instance_polished_to_the_bound(self):
-        # the Schur solution alone misses the residual bound here (by ~17x)
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((3, 3))
-        B = rng.standard_normal((3, 1))
-        Q, R = 1e4 * np.eye(3), 1e-4 * np.eye(1)
+        # the doubling seed alone misses the residual bound here (by ~17x)
+        A, B, Q, R = stiff_instance()
         P, K = matkit.solve_are(A, B, Q, R)
         bound = 1e-8 * np.linalg.norm(P) * max(1.0, np.linalg.norm(A)) ** 2
         assert matkit.are_residual(A, B, Q, R, P) <= bound
         assert matkit.spectral_abscissa(A - B @ K) < 0
+        assert_matches_scipy(P, A, B, Q, R)
 
-    def test_schur_failure_raises_solver_diverged(self, monkeypatch):
-        def broken_schur(*args, **kwargs):
-            raise np.linalg.LinAlgError("schur did not converge")
+    def test_formation_matches_scipy(self):
+        spec, model, _ = bench.build_example(bench.BenchConfig(N=10, seed=11))
+        P, _ = matkit.solve_are(model.A, model.B, spec.Q, spec.R)
+        assert_matches_scipy(P, model.A, model.B, spec.Q, spec.R)
 
-        monkeypatch.setattr(matkit.sla, "schur", broken_schur)
-        with pytest.raises(SolverDiverged):
+    def test_singular_solve_raises_solver_diverged(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(matkit.np.linalg, "inv", singular)
+        with pytest.raises(SolverDiverged, match="doubling breakdown: Singular matrix"):
             matkit.solve_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("phase", ["breakdown", "cap", "newton"])
+    def test_divergence_names_phase_gamma_doublings_step(self, phase, monkeypatch):
+        if phase == "breakdown":
+            # G = 1e300 is finite, but Q A_gamma^-1 G overflows, so the Cayley
+            # transform W is infinite and the first doubling meets a zero iterate
+            args = ([[0.0]], [[1e150]], [[1e10]], [[1.0]])
+            expected = "Riccati doubling breakdown"
+        elif phase == "cap":
+            # the double integrator needs 6 doublings to converge
+            monkeypatch.setattr(matkit, "SDA_MAX_DOUBLINGS", 2)
+            args = ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), np.eye(1))
+            expected = "Riccati doubling reached the cap of 2 doublings"
+        else:
+            monkeypatch.setattr(matkit, "NEWTON_STEPS", 0)
+            args = stiff_instance()
+            expected = "Newton polish"
+        with pytest.raises(SolverDiverged) as info:
+            matkit.solve_are(*args)
+        message = str(info.value)
+        assert message.startswith(expected)
+        assert re.search(r"gamma \S+, \d+ doublings, last relative step \S+\)$", message)
+
+    def test_stress_draw_solves_or_raises_typed(self):
+        # 600 draws over wide scales (||A||_F 1e-2..1e3, ||Q|| 1e-2..1e4,
+        # ||R|| 1e-6..1e4), plain and with A -> D A D^-1, D = diag(10^U(-1,1)).
+        counts = {"ok": 0, "precondition": 0, "diverged": 0}
+        for i in range(600):
+            rng = np.random.default_rng(10000 + i)
+            n = int(rng.integers(1, 12))
+            m = int(rng.integers(1, n + 1))
+            A = rng.standard_normal((n, n))
+            A *= 10 ** rng.uniform(-2, 3) / np.linalg.norm(A)
+            B = rng.standard_normal((n, m))
+            Q = random_spd(rng, n)
+            Q *= 10 ** rng.uniform(-2, 4) / np.linalg.norm(Q)
+            R = random_spd(rng, m)
+            R *= 10 ** rng.uniform(-6, 4) / np.linalg.norm(R)
+            d = 10 ** rng.uniform(-1, 1, n)
+            for A_i in (A, d[:, None] * A / d[None, :]):
+                try:
+                    P, K = matkit.solve_are(A_i, B, Q, R)
+                except PreconditionFailed:
+                    counts["precondition"] += 1
+                    continue
+                except SolverDiverged:
+                    counts["diverged"] += 1
+                    continue
+                bound = 1e-8 * np.linalg.norm(P) * max(1.0, np.linalg.norm(A_i)) ** 2
+                assert matkit.are_residual(A_i, B, Q, R, P) <= bound
+                assert matkit.spectral_abscissa(A_i - B @ K) < 0
+                counts["ok"] += 1
+        # pinned, so a draw that solves today cannot silently start to fail
+        assert counts == {"ok": 1184, "precondition": 16, "diverged": 0}
 
 
 class TestRankHelpers:
