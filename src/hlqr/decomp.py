@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import matkit
 from .errors import (
@@ -227,8 +226,7 @@ def _paired_groups(gram: np.ndarray, threshold: float):
     N = gram.shape[0]
     links = np.abs(gram) > threshold
     zero = np.zeros_like(links)
-    count, labels = connected_components(np.block([[zero, links], [links.T, zero]]),
-                                         directed=False)
+    count, labels = matkit.component_labels(np.block([[zero, links], [links.T, zero]]))
     p_labels, q_labels = labels[:N], labels[N:]
     if not np.array_equal(np.bincount(p_labels, minlength=count),
                           np.bincount(q_labels, minlength=count)):
@@ -239,10 +237,11 @@ def _paired_groups(gram: np.ndarray, threshold: float):
             [np.flatnonzero(q_labels == c).tolist() for c in range(count)])
 
 
-def _common_eigenbasis_rows(G1, G2, tol: float) -> np.ndarray:
-    """Rows of T for a commuting pair: eigendecompose G1, then diagonalize
-    G2 restricted to each repeated-eigenvalue subspace of G1."""
-    e1 = matkit.sym_eig(G1, tol)
+def _common_eigenbasis_rows(G1, G2, e1: matkit.SymEig, tol: float) -> np.ndarray:
+    """Rows of T for a commuting pair: from the eigendecomposition ``e1``
+    of G1, diagonalize G2 restricted to each repeated-eigenvalue subspace
+    of G1."""
+    G2V = G2 @ e1.vectors
     gap = tol * max(float(np.linalg.norm(G1)), 1e-300)
     cols = []
     start = 0
@@ -252,7 +251,7 @@ def _common_eigenbasis_rows(G1, G2, tol: float) -> np.ndarray:
         while stop < N and e1.values[stop] - e1.values[stop - 1] <= gap:
             stop += 1
         V = e1.vectors[:, start:stop]
-        inner = matkit.symmetrize(V.T @ G2 @ V)
+        inner = matkit.symmetrize(V.T @ G2V[:, start:stop])
         _, Z = np.linalg.eigh(inner)
         cols.append(V @ Z)
         start = stop
@@ -305,14 +304,13 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     for name, M in (("G1", G1), ("G2", G2)):
         if not matkit.is_symmetric(M, tol):
             raise PreconditionFailed(f"{name} must be symmetric")
-    if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(G1)))) < -1e-10:
-        raise PreconditionFailed("G1 must be positive semidefinite")
-    if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(G2)))) <= 0:
-        raise PreconditionFailed("G2 must be positive definite")
-
     N = G1.shape[0]
     e1 = matkit.sym_eig(G1, tol)
     e2 = matkit.sym_eig(G2, tol)
+    if float(e1.values[0]) < -1e-10:
+        raise PreconditionFailed("G1 must be positive semidefinite")
+    if float(e2.values[0]) <= 0:
+        raise PreconditionFailed("G2 must be positive definite")
     distinct = _all_gaps_above(e1.values, tol * float(np.linalg.norm(G1))) and _all_gaps_above(
         e2.values, tol * float(np.linalg.norm(G2))
     )
@@ -322,7 +320,7 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
             raise NotSupported(
                 "repeated eigenvalues with non-commuting G1, G2 are not supported"
             )
-        T = _common_eigenbasis_rows(G1, G2, tol)
+        T = _common_eigenbasis_rows(G1, G2, e1, tol)
         sizes = (1,) * N
     else:
         F1 = _sign_fix_rows(e1.vectors.T)

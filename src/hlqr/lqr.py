@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matkit
 from .decomp import DecompositionPlan, kron_lift
@@ -102,7 +101,7 @@ def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.
                 f"cluster gain shape {K.shape}, expected {(m * size, n * size)}"
             )
         gains.append(K)
-    kappa = sla.block_diag(*gains)
+    kappa = matkit.block_diag(*gains)
     return kron_lift(plan.T, m).T @ kappa @ kron_lift(plan.T, n)
 
 

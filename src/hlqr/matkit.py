@@ -1,11 +1,14 @@
 """Dense real linear-algebra kernels shared by the rest of the package.
 
-Kronecker products, symmetric eigendecompositions, sparsity-pattern
-partitions, a Lyapunov solver, the Riccati solver (structure-preserving
-doubling on n-square blocks, Chu, Fan & Lin 2005, polished by Kleinman
-steps), and the matrix file formats used by the CLI. Everything operates
-on plain float ``numpy`` arrays and is pure: no globals, safe to call
-concurrently.
+Kronecker products, symmetric eigendecompositions, connected components
+and sparsity-pattern partitions, block-diagonal assembly, a Lyapunov
+solver, the Riccati solver (structure-preserving doubling on n-square
+blocks, Chu, Fan & Lin 2005, polished by Kleinman steps), and the matrix
+file formats used by the CLI. Everything operates on plain float
+``numpy`` arrays and is pure: no globals, safe to call concurrently.
+Only ``solve_lyapunov`` (Bartels-Stewart) needs scipy; it imports
+``scipy.linalg`` when first called, so importing this module loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -99,6 +100,35 @@ def sym_eig(M, tol: float = DEFAULT_TOL) -> SymEig:
     return SymEig(values, vectors)
 
 
+def component_labels(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph with symmetric dense
+    boolean adjacency ``adj``: (count, labels), labels numbered in order of
+    each component's smallest vertex, as scipy's ``connected_components``
+    numbers them. Breadth-first, one boolean row gather per frontier."""
+    labels = np.full(adj.shape[0], -1)
+    count = 0
+    for seed in range(adj.shape[0]):
+        if labels[seed] >= 0:
+            continue
+        frontier = np.array([seed])
+        while frontier.size:
+            labels[frontier] = count
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
+        count += 1
+    return count, labels
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of the 2-d ``blocks``, zeros elsewhere."""
+    rows, cols = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def support_partition(M, tol: float = 1e-9) -> list[list[int]]:
     """Connected components of the undirected support graph of M.
 
@@ -108,12 +138,16 @@ def support_partition(M, tol: float = 1e-9) -> list[list[int]]:
     A = require_square(M, "M")
     adj = (np.abs(A) + np.abs(A.T)) > tol
     np.fill_diagonal(adj, False)
-    count, labels = connected_components(adj, directed=False)
+    count, labels = component_labels(adj)
     return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
 def solve_lyapunov(A, W, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve A'X + XA + W = 0 for symmetric X; A must be Hurwitz."""
+    """Solve A'X + XA + W = 0 for symmetric X; A must be Hurwitz.
+
+    Bartels-Stewart through ``scipy.linalg``, imported on the first call."""
+    from scipy.linalg import solve_continuous_lyapunov
+
     A = require_square(A, "A")
     W = require_square(W, "W")
     if A.shape != W.shape:
@@ -122,7 +156,7 @@ def solve_lyapunov(A, W, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotSymmetric("W must be symmetric")
     if spectral_abscissa(A) >= 0:
         raise NotHurwitz("A must be Hurwitz")
-    X = symmetrize(sla.solve_continuous_lyapunov(A.T, -symmetrize(W)))
+    X = symmetrize(solve_continuous_lyapunov(A.T, -symmetrize(W)))
     residual = float(np.linalg.norm(A.T @ X + X @ A + W))
     bound = tol * (np.linalg.norm(X) * np.linalg.norm(A) + np.linalg.norm(W))
     if residual > max(bound, np.finfo(float).tiny):

@@ -1,7 +1,12 @@
 """Certification of the hierarchically designed gain on a non-homogeneous
 plant: a Lyapunov/LMI stability test, a small-gain test on the
 heterogeneity mismatch loop, and an H2 performance bound, plus the
-H-infinity / H2 norm machinery they need."""
+H-infinity / H2 norm machinery they need.
+
+Importing this module loads numpy alone. ``scipy.linalg`` loads on the
+first ``hinf_norm`` (complex Schur form, triangular solves) or Lyapunov
+solve (``matkit.solve_lyapunov``, behind ``h2_norm`` and
+``evaluate_cost``)."""
 
 from __future__ import annotations
 
@@ -10,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matkit
 from .decomp import DecompositionPlan, LqrSpec, kron_lift
@@ -47,8 +51,8 @@ class HeteroModel:
         for A, B in zip(self.A_blocks, self.B_blocks):
             if A.shape != shape_a or B.shape != shape_b or B.shape[0] != shape_a[0]:
                 raise DimensionMismatch("all agents must share state/input dimensions")
-        self.A = sla.block_diag(*self.A_blocks)
-        self.B = sla.block_diag(*self.B_blocks)
+        self.A = matkit.block_diag(*self.A_blocks)
+        self.B = matkit.block_diag(*self.B_blocks)
 
     @property
     def N(self) -> int:
@@ -188,14 +192,15 @@ def lmi_stability_check(a_tilde, b_tilde, p_hat, Q, R, b_hat):
     return max_eig, max_eig < 0
 
 
-def _sigma_max_at(T, CU, UhB, D, omega: float) -> float:
+def _sigma_max_at(solve_triangular, T, CU, UhB, D, omega: float) -> float:
     """sigma_max(G(jw)) from the Schur factors A = U T U^H:
-    G(jw) = (C U) (jw I - T)^-1 (U^H B) + D, one triangular solve, and
+    G(jw) = (C U) (jw I - T)^-1 (U^H B) + D, one ``solve_triangular``
+    (scipy's, bound once by the caller), and
     sigma_max^2 the largest eigenvalue of the smaller Gram matrix of G:
     cheaper than an SVD, with a relative error of the order of rounding."""
     shifted = -T
     shifted[np.diag_indices_from(shifted)] += 1j * omega
-    G = CU @ sla.solve_triangular(shifted, UhB) + D
+    G = CU @ solve_triangular(shifted, UhB) + D
     gram = G.conj().T @ G if G.shape[0] >= G.shape[1] else G @ G.conj().T
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
@@ -251,22 +256,26 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     Each such round doubles the margin of gamma over ``lo``, so the
     result stays a certified upper bound but may exceed the norm by more
     than ``tol``. Requires A Hurwitz; raises ``SolverDiverged`` after
-    ``HINF_MAX_ROUNDS`` rounds without a certificate.
+    ``HINF_MAX_ROUNDS`` rounds without a certificate. The complex Schur
+    form and the triangular solves come from ``scipy.linalg``, imported
+    on the first call.
     """
-    T, U = sla.schur(sys.A, output="complex")
+    from scipy.linalg import schur, solve_triangular
+
+    T, U = schur(sys.A, output="complex")
     eig = np.diag(T)
     if float(np.max(eig.real)) >= 0:
         raise NotHurwitz("A must be Hurwitz")
     d_norm = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
     if float(np.linalg.norm(sys.B)) == 0.0 or float(np.linalg.norm(sys.C)) == 0.0:
         return d_norm
-    factors = (T, sys.C @ U, U.conj().T @ sys.B, sys.D)
+    probe_args = (solve_triangular, T, sys.C @ U, U.conj().T @ sys.B, sys.D)
     resonant = eig[eig.imag > 0]
     damping = -resonant.real / np.abs(resonant)
     lightest = resonant[np.argsort(damping, kind="stable")[:HINF_RESONANT_PROBES]]
     scale = max(1.0, float(np.max(np.abs(eig))))
     probes = [0.0, *lightest.imag, *(scale * np.logspace(-2, 2, 25))]
-    lo = max([d_norm] + [_sigma_max_at(*factors, w) for w in probes])
+    lo = max([d_norm] + [_sigma_max_at(*probe_args, w) for w in probes])
     if lo <= 0.0:
         return 0.0
     excess = 0.5 * tol
@@ -276,7 +285,7 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
         if crossings.size == 0:
             return gamma
         candidates = np.concatenate([crossings, 0.5 * (crossings[1:] + crossings[:-1])])
-        lo = max([lo] + [_sigma_max_at(*factors, w) for w in candidates])
+        lo = max([lo] + [_sigma_max_at(*probe_args, w) for w in candidates])
         if lo < gamma:
             # sigma_max stays below the level at the reported crossings:
             # eigenvalues within the axis test's tolerance, not on the axis

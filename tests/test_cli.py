@@ -182,19 +182,23 @@ def test_exit_code_mapping():
     assert cli.exit_code_for(ValueError("x")) == 1
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal is slow to import and hlqr needs none of it; a fresh
-    # interpreter shows whether importing the CLI, deriving an initial
-    # gain or a two-agent hierarchical solve pulls it in
+def test_cli_import_skips_scipy():
+    # hlqr's decompose/project/learn/assemble path runs on numpy alone and
+    # scipy.linalg is imported only inside the kernels that need it; a
+    # fresh interpreter shows whether importing the CLI, deriving an
+    # initial gain, a two-agent hierarchical solve, a benchmark draw, a
+    # heterogeneous model or gain assembly pulls in any scipy module, and
+    # that the first Lyapunov solve (evaluate_cost) then loads scipy.linalg
     src = str(Path(hlqr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = "\n".join([
         "import sys, numpy as np, hlqr.cli",
-        "from hlqr.bench import derive_initial_gain",
+        "from hlqr.bench import BenchConfig, build_example, derive_initial_gain",
         "from hlqr.decomp import LqrSpec, construct_T",
-        "from hlqr.lqr import AgentModel",
+        "from hlqr.lqr import AgentModel, assemble_gain, evaluate_cost",
         "from hlqr.rl import HierarchicalConfig, hierarchical_solve",
+        "from hlqr.robust import HeteroModel",
         "A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])",
         "k = derive_initial_gain(A, B, seed=0)",
         "spec = LqrSpec(2, 2, 1, np.array([[2.0, -1.0], [-1.0, 2.0]]), np.eye(2),",
@@ -202,8 +206,14 @@ def test_cli_import_skips_scipy_signal():
         "plan = construct_T(spec.G1, spec.G2)",
         "hierarchical_solve(spec, plan, AgentModel(A, B),",
         "                   HierarchicalConfig(initial_gains=[k] * plan.r))",
-        "print('scipy.signal' in sys.modules)",
+        "build_example(BenchConfig(N=6, seed=0, hetero=0.05))",
+        "HeteroModel([A, A + 0.1 * np.eye(2)], [B, B])",
+        "K = assemble_gain(plan, [k] * plan.r, spec.n, spec.m)",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "big_A, big_B = np.kron(np.eye(2), A), np.kron(np.eye(2), B)",
+        "evaluate_cost(big_A - big_B @ K, np.eye(4), np.ones(4))",
+        "print('scipy.linalg' in sys.modules)",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from hlqr import bench, matkit
 from hlqr.errors import (
@@ -136,6 +137,61 @@ class TestSupportPartition:
         inv = np.argsort(perm)
         mapped = sorted(sorted(int(inv[i]) for i in g) for g in base)
         assert sorted(moved) == mapped
+
+
+def random_adjacency(rng, N, density):
+    """Symmetric boolean adjacency with zero diagonal and edge probability
+    ``density``."""
+    upper = np.triu(rng.random((N, N)) < density, 1)
+    return upper | upper.T
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("N", [1, 2, 50, 300])
+    @pytest.mark.parametrize("density", [0.0, "sparse", 1.0])
+    def test_equals_scipy(self, N, density):
+        rng = np.random.default_rng(N)
+        # 1/N keeps the graph near its giant-component threshold, so the
+        # draw mixes singletons, small components and one large one
+        p = 1.0 / N if density == "sparse" else density
+        for _ in range(5):
+            adj = random_adjacency(rng, N, p)
+            count, labels = matkit.component_labels(adj)
+            ref_count, ref_labels = connected_components(adj, directed=False)
+            assert count == ref_count
+            np.testing.assert_array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("N", [1, 2, 50, 300])
+    def test_bipartite_pairing_block_equals_scipy(self, N):
+        # the shape decomp._paired_groups labels: a 2N graph whose only
+        # edges link row eigenvector i to column eigenvector j; p = 0 gets
+        # a permutation matching, the pairing of two distinct bases
+        rng = np.random.default_rng(7 + N)
+        for p in (0.0, 1.0 / N, 1.0):
+            links = rng.random((N, N)) < p
+            links[np.arange(N), rng.permutation(N)] |= p == 0.0
+            zero = np.zeros_like(links)
+            adj = np.block([[zero, links], [links.T, zero]])
+            count, labels = matkit.component_labels(adj)
+            ref_count, ref_labels = connected_components(adj, directed=False)
+            assert count == ref_count
+            np.testing.assert_array_equal(labels, ref_labels)
+
+
+class TestBlockDiag:
+    def test_square_and_rectangular_equal_scipy(self):
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((4, 4)), rng.standard_normal((4, 2)),
+                  rng.standard_normal((1, 3)), rng.standard_normal((4, 4))]
+        out = matkit.block_diag(*blocks)
+        np.testing.assert_array_equal(out, sla.block_diag(*blocks))
+        assert out.dtype == np.float64
+
+    def test_single_block_equals_scipy(self):
+        block = np.random.default_rng(4).standard_normal((4, 2))
+        out = matkit.block_diag(block)
+        np.testing.assert_array_equal(out, sla.block_diag(block))
+        assert out is not block
 
 
 class TestSolveLyapunov:
