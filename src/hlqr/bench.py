@@ -36,6 +36,8 @@ from .robust import HeteroModel
 
 SOLVERS = ("model-based", "hierarchical-rl", "global-rl")
 CSV_COLUMNS = ("solver", "wall_ms", "J", "gain_gap_fro", "status")
+# relative size of the model perturbation behind ``derive_initial_gain``
+INITIAL_GAIN_PERTURBATION = 0.1
 
 
 @dataclass(eq=False)
@@ -177,8 +179,7 @@ def build_example(config: BenchConfig):
     return spec, model, x0
 
 
-def derive_initial_gain(A, B, seed: int, perturbation: float = 0.1,
-                        depth: float = 1.0) -> np.ndarray:
+def derive_initial_gain(A, B, seed: int, depth: float = 1.0) -> np.ndarray:
     """Stabilizing gain from a deliberately perturbed copy of the model; the
     perturbed copy is discarded afterwards so learning stays model-free.
 
@@ -193,8 +194,8 @@ def derive_initial_gain(A, B, seed: int, perturbation: float = 0.1,
     if B.shape[0] != n:
         raise DimensionMismatch(f"A is {A.shape}, B is {B.shape}")
     rng = np.random.default_rng(seed)
-    scale_a = perturbation * max(float(np.linalg.norm(A)), 1e-2) / n
-    scale_b = perturbation * max(float(np.linalg.norm(B)), 1e-3) / n
+    scale_a = INITIAL_GAIN_PERTURBATION * max(float(np.linalg.norm(A)), 1e-2) / n
+    scale_b = INITIAL_GAIN_PERTURBATION * max(float(np.linalg.norm(B)), 1e-3) / n
     for attempt in range(20):
         Ap = A + scale_a * rng.standard_normal(A.shape)
         Bp = B + scale_b * rng.standard_normal(B.shape)

@@ -42,17 +42,15 @@ def _load_gain_file(path):
     return matkit.matrix_from_json(json.loads(Path(path).read_text())["K"])
 
 
+def _spec(N, n, m, weights):
+    """The ``LqrSpec`` of the given dimensions and G1/G2/Q0/R0 matrices."""
+    return decomp.LqrSpec(N, n, m, *(matkit.matrix_from_json(weights[key])
+                                     for key in ("G1", "G2", "Q0", "R0")))
+
+
 def _load_spec_file(path):
     obj = json.loads(Path(path).read_text())
-    spec = decomp.LqrSpec(
-        N=int(obj["N"]),
-        n=int(obj["n"]),
-        m=int(obj["m"]),
-        G1=matkit.matrix_from_json(obj["G1"]),
-        G2=matkit.matrix_from_json(obj["G2"]),
-        Q0=matkit.matrix_from_json(obj["Q0"]),
-        R0=matkit.matrix_from_json(obj["R0"]),
-    )
+    spec = _spec(int(obj["N"]), int(obj["n"]), int(obj["m"]), obj)
     plant = None
     if "A" in obj and "B" in obj:
         plant = AgentModel(matkit.matrix_from_json(obj["A"]),
@@ -66,17 +64,7 @@ def _load_model_file(path):
         [matkit.matrix_from_json(a["A"]) for a in obj["agents"]],
         [matkit.matrix_from_json(a["B"]) for a in obj["agents"]],
     )
-    w = obj["weights"]
-    spec = decomp.LqrSpec(
-        N=model.N,
-        n=model.n,
-        m=model.m,
-        G1=matkit.matrix_from_json(w["G1"]),
-        G2=matkit.matrix_from_json(w["G2"]),
-        Q0=matkit.matrix_from_json(w["Q0"]),
-        R0=matkit.matrix_from_json(w["R0"]),
-    )
-    return model, spec
+    return model, _spec(model.N, model.n, model.m, obj["weights"])
 
 
 def cmd_decompose(args) -> int:

@@ -1,7 +1,8 @@
 """Certification of the hierarchically designed gain on a non-homogeneous
 plant: a Lyapunov/LMI stability test, a small-gain test on the
 heterogeneity mismatch loop, and an H2 performance bound, plus the
-H-infinity / H2 norm machinery they need.
+H-infinity / H2 norm machinery they need. The three certificates read one
+``HeteroLift``, the transformed design that ``hetero_lift`` forms once.
 
 Importing this module loads numpy alone. ``scipy.linalg`` loads on the
 first ``hinf_norm`` (complex Schur form, triangular solves) or Lyapunov
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,52 +132,58 @@ class RobustReport:
         }
 
 
-def transformed_pair(model: HeteroModel, plan: DecompositionPlan):
-    """Transformed dynamics and their heterogeneity mismatches:
-    Ahat = T_n' A T_n, Bhat = T_n' B T_m, Atilde = A - Ahat,
-    Btilde = B - Bhat (both mismatches vanish for identical agents)."""
-    Tn = kron_lift(plan.T, model.n)
-    Tm = kron_lift(plan.T, model.m)
-    A, B = model.A, model.B
-    Ahat = Tn.T @ A @ Tn
-    Bhat = Tn.T @ B @ Tm
-    return Ahat, Bhat, A - Ahat, B - Bhat
+class HeteroLift(NamedTuple):
+    """The transformed design of a heterogeneous plant that every
+    certificate reads: the transformed pair a_hat = T_n' A T_n and
+    b_hat = T_n' B T_m, the heterogeneity mismatches a_tilde = A - a_hat
+    and b_tilde = B - b_hat (both vanish for identical agents), the
+    Riccati solution (p_hat, k) of the transformed pair and its closed
+    loop a_cl = a_hat - b_hat k, confirmed Hurwitz."""
+
+    a_hat: np.ndarray
+    b_hat: np.ndarray
+    a_tilde: np.ndarray
+    b_tilde: np.ndarray
+    a_cl: np.ndarray
+    p_hat: np.ndarray
+    k: np.ndarray
 
 
-def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec):
-    """Solve the transformed design problem for a heterogeneous plant.
-
-    Returns (Atilde, Btilde, Ahat_cl, Phat, K) where (Phat, K) solve the
-    Riccati equation of the transformed pair with the spec's weights and
-    Ahat_cl is its closed loop (confirmed Hurwitz). Requires the global
-    pair controllable and Q positive definite.
+def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> HeteroLift:
+    """Solve the transformed design problem for a heterogeneous plant with
+    the spec's weights. Requires the global pair controllable and Q
+    positive definite; raises ``NotHurwitz`` if the transformed closed
+    loop is not Hurwitz.
     """
     if not controllability_ok(model.A, model.B):
         raise PreconditionFailed("(A, B) of the heterogeneous plant is not controllable")
     if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(spec.G1)))) <= 0:
         raise PreconditionFailed("Q must be positive definite (G1 must be PD)")
-    Ahat, Bhat, Atilde, Btilde = transformed_pair(model, plan)
-    Phat, K = matkit.solve_are(Ahat, Bhat, spec.Q, spec.R)
-    Ahat_cl = Ahat - Bhat @ K
-    if matkit.spectral_abscissa(Ahat_cl) >= 0:
+    Tn, Tm = kron_lift(plan.T, model.n), kron_lift(plan.T, model.m)
+    a_hat = Tn.T @ model.A @ Tn
+    b_hat = Tn.T @ model.B @ Tm
+    p_hat, k = matkit.solve_are(a_hat, b_hat, spec.Q, spec.R)
+    a_cl = a_hat - b_hat @ k
+    if matkit.spectral_abscissa(a_cl) >= 0:
         raise NotHurwitz("transformed closed loop is not Hurwitz")
-    return Atilde, Btilde, Ahat_cl, Phat, K
+    return HeteroLift(a_hat, b_hat, model.A - a_hat, model.B - b_hat, a_cl, p_hat, k)
 
 
-def lmi_stability_check(a_tilde, b_tilde, p_hat, Q, R, b_hat):
+def lmi_stability_check(lift: HeteroLift, Q, R):
     """Sufficient LMI stability test for the heterogeneous closed loop:
 
         P At + At' P - P Bt R^-1 Bh' P - P Bh R^-1 Bt' P - Q
             - P Bh R^-1 Bh' P  <  0
 
-    with At/Bt the heterogeneity mismatches and Bh the transformed input
-    matrix. The left side is exactly the derivative matrix of the
-    Lyapunov candidate x' P x along the true closed loop (the Riccati
-    identity supplies the last two terms), so a pass certifies stability
-    with no false positives; failures are inconclusive. Returns (max
-    eigenvalue of the symmetrized left side, pass flag).
+    with P the lift's Riccati solution, At/Bt its heterogeneity
+    mismatches and Bh its transformed input matrix. The left side is
+    exactly the derivative matrix of the Lyapunov candidate x' P x along
+    the true closed loop (the Riccati identity supplies the last two
+    terms), so a pass certifies stability with no false positives;
+    failures are inconclusive. Returns (max eigenvalue of the symmetrized
+    left side, pass flag).
     """
-    P = matkit.require_square(p_hat, "p_hat")
+    P, a_tilde, b_tilde, b_hat = lift.p_hat, lift.a_tilde, lift.b_tilde, lift.b_hat
 
     def quad(left, right):
         return P @ left @ np.linalg.solve(R, right.T @ P)
@@ -305,30 +313,29 @@ def h2_norm(sys: LtiSystem) -> float:
     return float(np.sqrt(max(float(np.trace(sys.C @ X @ sys.C.T)), 0.0)))
 
 
-def small_gain_check(model: HeteroModel, K, a_hat, a_tilde, b_tilde):
+def small_gain_check(model: HeteroModel, lift: HeteroLift):
     """Small-gain stability test for the mismatch feedback loop.
 
     lhs is the H-infinity norm of the open-loop plant driven into the
     mismatch output (At - Bt K), rhs the inverse norm of the nominal
-    closed-loop sensitivity K (sI - Ahat_cl)^-1. Stability is certified
-    when lhs < rhs. Requires the open-loop plant and Ahat_cl Hurwitz;
-    a non-Hurwitz open loop makes the test inapplicable, not unstable.
+    closed-loop sensitivity K (sI - Ahat_cl)^-1, both at the lift's gain
+    K. Stability is certified when lhs < rhs. Requires the open-loop
+    plant Hurwitz; a non-Hurwitz open loop makes the test inapplicable,
+    not unstable.
     """
-    A, B = model.A, model.B
+    A, B, K = model.A, model.B, lift.k
     if matkit.spectral_abscissa(A) >= 0:
         raise NotHurwitz("open-loop plant must be Hurwitz for the small-gain test")
-    if matkit.spectral_abscissa(a_hat) >= 0:
-        raise NotHurwitz("transformed closed loop must be Hurwitz")
-    K = matkit.as_matrix(K, "K")
-    lhs = hinf_norm(LtiSystem(A, B, a_tilde - b_tilde @ K))
-    gd = hinf_norm(LtiSystem(a_hat, np.eye(a_hat.shape[0]), -K))
+    lhs = hinf_norm(LtiSystem(A, B, lift.a_tilde - lift.b_tilde @ K))
+    gd = hinf_norm(LtiSystem(lift.a_cl, np.eye(lift.a_cl.shape[0]), -K))
     rhs = np.inf if gd == 0.0 else 1.0 / gd
     return lhs, rhs, bool(lhs < rhs)
 
 
-def performance_bound(model: HeteroModel, K, plan: DecompositionPlan,
-                      spec: LqrSpec, x0) -> PerformanceBound:
-    """H2 performance bound for deploying gain K on the heterogeneous plant.
+def performance_bound(model: HeteroModel, lift: HeteroLift, spec: LqrSpec,
+                      x0) -> PerformanceBound:
+    """H2 performance bound for deploying the lift's gain K on the
+    heterogeneous plant.
 
     Builds the impulse-driven nominal loop eta' = Ahat_cl eta + e + x0 d(t)
     with cost output y = [sqrt(Q); -sqrt(R) K] eta, the mismatch loop
@@ -361,15 +368,11 @@ def performance_bound(model: HeteroModel, K, plan: DecompositionPlan,
     norms, via ||G_ey W G_sigma G_du||_2 <= ||G_ey W||_inf
     ||G_sigma||_2 ||G_du||_inf, and the G_free term accounts for the
     plant subsystem starting at x0 rather than at rest (both vanish for
-    a homogeneous plant). Raises ``NotHurwitz`` if any required
-    realization is unstable.
+    a homogeneous plant). Raises ``NotHurwitz`` if the open-loop plant
+    is not Hurwitz.
     """
-    K = matkit.as_matrix(K, "K")
+    K, a_hat = lift.k, lift.a_cl
     x0 = np.asarray(x0, dtype=float).ravel()
-    Ahat, Bhat, Atilde, Btilde = transformed_pair(model, plan)
-    a_hat = Ahat - Bhat @ K
-    if matkit.spectral_abscissa(a_hat) >= 0:
-        raise NotHurwitz("transformed closed loop is not Hurwitz")
     if matkit.spectral_abscissa(model.A) >= 0:
         raise NotHurwitz("open-loop plant must be Hurwitz for the mismatch H2 norms")
     Q, R = spec.Q, spec.R
@@ -377,7 +380,7 @@ def performance_bound(model: HeteroModel, K, plan: DecompositionPlan,
     x0col = x0.reshape(-1, 1)
     nx = a_hat.shape[0]
 
-    mismatch_out = Atilde - Btilde @ K
+    mismatch_out = lift.a_tilde - lift.b_tilde @ K
     epsilon = h2_norm(LtiSystem(model.A, model.B, mismatch_out))
     j2_bar = h2_norm(LtiSystem(a_hat, x0col, Cy))
     g_du = LtiSystem(a_hat, x0col, -K)
@@ -406,22 +409,21 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
     against it and used for the deployed-loop diagnostics. Checks whose
     preconditions fail are reported as None verdicts rather than errors.
     """
-    Atilde, Btilde, a_hat, p_hat, k_are = hetero_lift(model, plan, spec)
-    _, Bhat, _, _ = transformed_pair(model, plan)
-    deployed = k_are if gain is None else matkit.as_matrix(gain, "gain")
-    gain_gap = float(np.linalg.norm(deployed - k_are))
+    lift = hetero_lift(model, plan, spec)
+    deployed = lift.k if gain is None else matkit.as_matrix(gain, "gain")
+    gain_gap = float(np.linalg.norm(deployed - lift.k))
 
-    lmi_max, lmi_pass = lmi_stability_check(Atilde, Btilde, p_hat, spec.Q, spec.R, Bhat)
+    lmi_max, lmi_pass = lmi_stability_check(lift, spec.Q, spec.R)
     verdicts: dict = {"lmi": bool(lmi_pass)}
     lhs = rhs = None
     try:
-        lhs, rhs, sg_pass = small_gain_check(model, k_are, a_hat, Atilde, Btilde)
+        lhs, rhs, sg_pass = small_gain_check(model, lift)
         verdicts["small_gain"] = bool(sg_pass)
     except NotHurwitz:
         verdicts["small_gain"] = None
     perf = None
     try:
-        perf = performance_bound(model, k_are, plan, spec, x0)
+        perf = performance_bound(model, lift, spec, x0)
         verdicts["bound_holds"] = bool(perf.holds)
     except NotHurwitz:
         verdicts["bound_holds"] = None

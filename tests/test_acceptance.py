@@ -291,21 +291,19 @@ def test_criterion_6_robustness_soundness():
             [B0 + mag * rng.standard_normal((n, m)) for _ in range(N)],
         )
         try:
-            At, Bt, a_hat, p_hat, K = hetero_lift(model, plan, spec)
+            lift = hetero_lift(model, plan, spec)
         except (PreconditionFailed, NotHurwitz):
             continue
         hetero_draws += 1
-        stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
-        Tn, Tm = kron_lift(plan.T, n), kron_lift(plan.T, m)
-        Bhat = Tn.T @ model.B @ Tm
-        _, lmi_ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
+        stable = matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
+        _, lmi_ok = lmi_stability_check(lift, spec.Q, spec.R)
         if lmi_ok:
             lmi_pass += 1
             if not stable:
                 false_pos += 1
         if matkit.spectral_abscissa(model.A) < 0:
             try:
-                _, _, sg_ok = small_gain_check(model, K, a_hat, At, Bt)
+                _, _, sg_ok = small_gain_check(model, lift)
             except NotHurwitz:
                 sg_ok = False
             if sg_ok:
@@ -314,8 +312,7 @@ def test_criterion_6_robustness_soundness():
                     false_pos += 1
             if stable:
                 try:
-                    pb = performance_bound(model, K, plan, spec,
-                                           rng.standard_normal(n * N))
+                    pb = performance_bound(model, lift, spec, rng.standard_normal(n * N))
                 except NotHurwitz:
                     continue
                 bounds += 1
@@ -332,11 +329,11 @@ def test_criterion_6_robustness_soundness():
         A0, B0 = random_stable(rng, n), rng.standard_normal((n, m))
         model = HeteroModel([A0.copy() for _ in range(N)],
                             [B0.copy() for _ in range(N)])
-        At, Bt, a_hat, p_hat, K = hetero_lift(model, plan, spec)
+        lift = hetero_lift(model, plan, spec)
         scale = max(np.linalg.norm(model.A), 1.0)
-        lhs, _, _ = small_gain_check(model, K, a_hat, At, Bt)
-        pb = performance_bound(model, K, plan, spec, rng.standard_normal(n * N))
-        collapse_ok &= np.linalg.norm(At) <= 1e-12 * scale
+        lhs, _, _ = small_gain_check(model, lift)
+        pb = performance_bound(model, lift, spec, rng.standard_normal(n * N))
+        collapse_ok &= np.linalg.norm(lift.a_tilde) <= 1e-12 * scale
         collapse_ok &= lhs <= 1e-10 and pb.epsilon <= 1e-10
     elapsed = time.perf_counter() - t0
     ok = (

@@ -140,14 +140,22 @@ class TestSimulate:
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.u, b.u)
 
-    def test_custom_excitation_callable(self):
+    def test_one_component_excitation_forced_response(self):
         plant = AgentModel(np.array([[-1.0]]), np.eye(1))
-        traj = simulate(plant, np.zeros((1, 1)), lambda t: [np.sin(t)],
-                        [0.0], 1e-3, 1.0)
-        # forced response of x' = -x + sin(t)
+        exc = ExcitationConfig(component_count=1, frequency_range=(0.5, 2.0),
+                               amplitude=0.7, seed=4)
+        traj = simulate(plant, np.zeros((1, 1)), exc, [0.0], 1e-3, 1.0)
+        # forced response of x' = -x + a sin(w t + p) from x(0) = 0
+        signal = rl.ExcitationSignal(exc, 1)
+        w, p, a = signal.freqs[0, 0], signal.phases[0, 0], signal.amplitude
         t = traj.t
-        expected = 0.5 * (np.exp(-t) + np.sin(t) - np.cos(t))
+        expected = a / (1 + w * w) * (np.sin(w * t + p) - w * np.cos(w * t + p)
+                                      - (np.sin(p) - w * np.cos(p)) * np.exp(-t))
         assert np.max(np.abs(traj.x[:, 0] - expected)) < 1e-9
+
+    def test_rejects_callable_excitation(self):
+        with pytest.raises(PreconditionFailed, match="ExcitationConfig"):
+            simulate(SCALAR_PLANT, np.zeros((1, 1)), lambda t: [np.sin(t)], [0.0], 1e-3, 0.1)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(PreconditionFailed):
@@ -225,11 +233,6 @@ class TestSimulate:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "step" in messages[0]
-
-    def test_wrong_width_excitation_callable(self):
-        plant = AgentModel(np.array([[-1.0]]), np.eye(1))
-        with pytest.raises(DimensionMismatch):
-            simulate(plant, np.zeros((1, 1)), lambda t: [1.0, 2.0], [0.0], 1e-3, 0.1)
 
     def test_wrong_length_plant_derivative(self):
         with pytest.raises(DimensionMismatch):
@@ -682,14 +685,14 @@ class TestOffPolicyPi:
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
         with pytest.raises(BudgetExceeded, match="during iteration 0"):
-            offpolicy_pi(batch, problem, deadline=time.monotonic() - 1.0)
+            offpolicy_pi(batch, problem, plant=SCALAR_PLANT, deadline=time.monotonic() - 1.0)
 
     def test_batch_without_rank_flag_rejected(self):
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
         batch.rank = problem.q - 1
         with pytest.raises(PreconditionFailed):
-            offpolicy_pi(batch, problem)
+            offpolicy_pi(batch, problem, plant=SCALAR_PLANT)
 
 
 def count_batches(monkeypatch):
@@ -864,9 +867,8 @@ class TestHierarchicalSolve:
         values = []
         for i, p in enumerate(problems):
             p.initial_gain = config.initial_gains[i]
-            batch = collect_batch(AgentModel(np.zeros((1, 1)), np.eye(1)), p,
-                                  np.ones(1), 1e-3)
-            _, P, _ = offpolicy_pi(batch, p)
+            batch = collect_batch(SCALAR_PLANT, p, np.ones(1), 1e-3)
+            _, P, _ = offpolicy_pi(batch, p, plant=SCALAR_PLANT)
             values.append(P)
         calA, calB = np.zeros((N, N)), np.eye(N)
         x0 = rng.standard_normal(N)

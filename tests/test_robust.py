@@ -49,20 +49,20 @@ class TestHeteroLift:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = HeteroModel([np.array([[-1.0]])] * 2, [np.eye(1)] * 2)
-        At, Bt, a_hat, p_hat, K = hetero_lift(model, plan, spec)
+        lift = hetero_lift(model, plan, spec)
         scale = np.linalg.norm(model.A)
-        assert np.linalg.norm(At) <= 1e-12 * scale
-        assert np.linalg.norm(Bt) <= 1e-12 * max(np.linalg.norm(model.B), 1.0)
+        assert np.linalg.norm(lift.a_tilde) <= 1e-12 * scale
+        assert np.linalg.norm(lift.b_tilde) <= 1e-12 * max(np.linalg.norm(model.B), 1.0)
 
     def test_two_agent_mismatch_off_diagonal(self):
         # hand computation: T' diag(-1, -0.8) T has off-diagonal -0.1, so
         # the mismatch matrix is [[-0.1, 0.1], [0.1, 0.1]]
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
-        At, Bt, a_hat, p_hat, K = hetero_lift(scalar_pair_model(), plan, spec)
-        assert np.allclose(np.abs(At), 0.1, atol=1e-12)
-        np.testing.assert_allclose(Bt, 0.0, atol=1e-14)
-        assert matkit.spectral_abscissa(a_hat) < 0
+        lift = hetero_lift(scalar_pair_model(), plan, spec)
+        assert np.allclose(np.abs(lift.a_tilde), 0.1, atol=1e-12)
+        np.testing.assert_allclose(lift.b_tilde, 0.0, atol=1e-14)
+        assert matkit.spectral_abscissa(lift.a_cl) < 0
 
     def test_rejects_singular_g1(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -81,7 +81,7 @@ class TestHeteroLift:
         gaps = []
         for eps in (0.0, 0.02):
             model = scalar_pair_model(a2=-1.0 + eps)
-            _, _, _, _, K_are = hetero_lift(model, plan, spec)
+            K_are = hetero_lift(model, plan, spec).k
             config = HierarchicalConfig(initial_gains=[np.array([[1.5]])] * plan.r)
             K_learn, _ = hierarchical_solve(spec, plan, model, config)
             gaps.append(np.linalg.norm(K_learn - K_are))
@@ -103,20 +103,17 @@ class TestLmiCheck:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = HeteroModel([np.array([[-1.0]])] * 2, [np.eye(1)] * 2)
-        At, Bt, _, p_hat, _ = hetero_lift(model, plan, spec)
-        Bhat = _bhat(model, plan)
-        max_eig, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
+        max_eig, ok = lmi_stability_check(hetero_lift(model, plan, spec), spec.Q, spec.R)
         assert ok and max_eig < 0
 
     def test_small_mismatch_passes_and_is_truly_stable(self):
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = scalar_pair_model()
-        At, Bt, _, p_hat, K = hetero_lift(model, plan, spec)
-        Bhat = _bhat(model, plan)
-        _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
+        lift = hetero_lift(model, plan, spec)
+        _, ok = lmi_stability_check(lift, spec.Q, spec.R)
         assert ok
-        assert matkit.spectral_abscissa(model.A - model.B @ K) < 0
+        assert matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
 
     def test_check_fails_at_or_before_true_instability(self):
         # scale heterogeneity until the closed loop actually destabilizes;
@@ -130,23 +127,16 @@ class TestLmiCheck:
                 [np.eye(1), np.eye(1)],
             )
             try:
-                At, Bt, _, p_hat, K = hetero_lift(model, plan, spec)
+                lift = hetero_lift(model, plan, spec)
             except (PreconditionFailed, NotHurwitz):
                 continue
-            Bhat = _bhat(model, plan)
-            _, ok = lmi_stability_check(At, Bt, p_hat, spec.Q, spec.R, Bhat)
-            stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
+            _, ok = lmi_stability_check(lift, spec.Q, spec.R)
+            stable = matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
             if not stable:
                 saw_unstable = True
             if ok:
                 assert stable
         assert saw_unstable
-
-
-def _bhat(model, plan):
-    Tn = kron_lift(plan.T, model.n)
-    Tm = kron_lift(plan.T, model.m)
-    return Tn.T @ model.B @ Tm
 
 
 def lightly_damped():
@@ -161,8 +151,7 @@ def lightly_damped():
 
 def middle_factor_case(seed):
     """N=3, n=2 heterogeneous loop of the H2 bound: its model, spec, plan,
-    x0, mismatch output At - Bt K, transformed closed loop, gain and cost
-    output Cy."""
+    x0, lift, mismatch output At - Bt K and cost output Cy."""
     rng = np.random.default_rng(seed)
     N, n = 3, 2
     G1 = 0.5 * np.eye(N) + random_laplacian(rng, N)
@@ -172,15 +161,17 @@ def middle_factor_case(seed):
     model = HeteroModel([A0 + 0.1 * rng.standard_normal((n, n)) for _ in range(N)],
                         [B0 + 0.1 * rng.standard_normal((n, 1)) for _ in range(N)])
     x0 = rng.standard_normal(n * N)
-    At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
+    lift = hetero_lift(model, plan, spec)
+    K = lift.k
     Cy = np.vstack([matkit.sqrtm_psd(spec.Q), -matkit.sqrtm_psd(spec.R) @ K])
-    return model, spec, plan, x0, At - Bt @ K, a_hat, K, Cy
+    return model, spec, plan, x0, lift, lift.a_tilde - lift.b_tilde @ K, Cy
 
 
 def g_ey_w_sigma(case, omega):
     """sigma_max(G_ey (I - G_sigma G_eu)^-1) at each frequency, built from
     the transfer functions rather than a realization."""
-    model, _, _, _, mismatch_out, a_hat, K, Cy = case
+    model, _, _, _, lift, mismatch_out, Cy = case
+    a_hat, K = lift.a_cl, lift.k
     nx = a_hat.shape[0]
     jw = 1j * omega[:, None, None] * np.eye(nx)
     res_hat = np.linalg.inv(jw - a_hat)
@@ -249,7 +240,8 @@ class TestHinfNorm:
         # the 2nN-state G_ey W realization of performance_bound against a
         # transfer-function sweep refined around its maximum
         case = middle_factor_case(seed)
-        model, _, _, _, mismatch_out, a_hat, K, Cy = case
+        model, _, _, _, lift, mismatch_out, Cy = case
+        a_hat, K = lift.a_cl, lift.k
         nx = a_hat.shape[0]
         g_ey_w = LtiSystem(
             np.block([[a_hat, mismatch_out], [-model.B @ K, model.A]]),
@@ -403,8 +395,7 @@ class TestSmallGain:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = HeteroModel([np.array([[-1.0]])] * 2, [np.eye(1)] * 2)
-        At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
-        lhs, rhs, ok = small_gain_check(model, K, a_hat, At, Bt)
+        lhs, rhs, ok = small_gain_check(model, hetero_lift(model, plan, spec))
         assert lhs <= 1e-10
         assert ok
 
@@ -412,10 +403,10 @@ class TestSmallGain:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = scalar_pair_model()
-        At, Bt, a_hat, _, K = hetero_lift(model, plan, spec)
-        lhs, rhs, ok = small_gain_check(model, K, a_hat, At, Bt)
+        lift = hetero_lift(model, plan, spec)
+        lhs, rhs, ok = small_gain_check(model, lift)
         assert ok and lhs < rhs
-        assert matkit.spectral_abscissa(model.A - model.B @ K) < 0
+        assert matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
 
     def test_open_loop_unstable_is_inapplicable(self):
         spec = scalar_pair_spec()
@@ -424,9 +415,9 @@ class TestSmallGain:
         B = np.array([[0.0], [1.0]])
         model = HeteroModel([A] * 2, [B] * 2)
         spec4 = LqrSpec(2, 2, 1, spec.G1, np.eye(2), np.eye(2), np.eye(1))
-        At, Bt, a_hat, _, K = hetero_lift(model, plan, spec4)
+        lift = hetero_lift(model, plan, spec4)
         with pytest.raises(NotHurwitz):
-            small_gain_check(model, K, a_hat, At, Bt)
+            small_gain_check(model, lift)
 
 
 class TestPerformanceBound:
@@ -434,8 +425,8 @@ class TestPerformanceBound:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = HeteroModel([np.array([[-1.0]])] * 2, [np.eye(1)] * 2)
-        _, _, _, _, K = hetero_lift(model, plan, spec)
-        pb = performance_bound(model, K, plan, spec, np.array([1.0, -0.5]))
+        pb = performance_bound(model, hetero_lift(model, plan, spec), spec,
+                               np.array([1.0, -0.5]))
         assert pb.epsilon <= 1e-10
         assert pb.bound == pytest.approx(pb.j2_bar, rel=1e-9)
         assert pb.actual_j2 == pytest.approx(pb.j2_bar, rel=1e-6)
@@ -444,8 +435,8 @@ class TestPerformanceBound:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = scalar_pair_model()
-        _, _, _, _, K = hetero_lift(model, plan, spec)
-        pb = performance_bound(model, K, plan, spec, np.array([1.0, 1.0]))
+        pb = performance_bound(model, hetero_lift(model, plan, spec), spec,
+                               np.array([1.0, 1.0]))
         assert pb.holds
         assert pb.actual_j2 <= pb.bound
 
@@ -453,8 +444,7 @@ class TestPerformanceBound:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = scalar_pair_model()
-        _, _, _, _, K = hetero_lift(model, plan, spec)
-        pb = performance_bound(model, K, plan, spec, np.zeros(2))
+        pb = performance_bound(model, hetero_lift(model, plan, spec), spec, np.zeros(2))
         assert pb.j2_bar == pytest.approx(0.0, abs=1e-12)
         assert pb.actual_j2 == pytest.approx(0.0, abs=1e-12)
         assert pb.bound >= 0.0
@@ -465,10 +455,10 @@ class TestPerformanceBound:
         # sigma_max(G_ey (I - G_sigma G_eu)^-1) built from the transfer
         # functions; a sign or block error in the realization moves it
         case = middle_factor_case(seed)
-        model, spec, plan, x0, mismatch_out, a_hat, K, _ = case
-        pb = performance_bound(model, K, plan, spec, x0)
+        model, spec, _, x0, lift, mismatch_out, _ = case
+        pb = performance_bound(model, lift, spec, x0)
         x0col = x0.reshape(-1, 1)
-        du_inf = hinf_norm(LtiSystem(a_hat, x0col, -K))
+        du_inf = hinf_norm(LtiSystem(lift.a_cl, x0col, -lift.k))
         free_h2 = h2_norm(LtiSystem(model.A, x0col, mismatch_out))
         middle = (pb.bound - pb.j2_bar) / (pb.epsilon * du_inf + free_h2)
 
@@ -484,19 +474,17 @@ class TestSoundness:
             mag = 10 ** rng.uniform(-2, 0.5)
             spec, plan, model = draw_setup(rng, mag)
             try:
-                At, Bt, a_hat, p_hat, K = hetero_lift(model, plan, spec)
+                lift = hetero_lift(model, plan, spec)
             except (PreconditionFailed, NotHurwitz):
                 continue
-            stable = matkit.spectral_abscissa(model.A - model.B @ K) < 0
-            _, lmi_ok = lmi_stability_check(
-                At, Bt, p_hat, spec.Q, spec.R, _bhat(model, plan)
-            )
+            stable = matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
+            _, lmi_ok = lmi_stability_check(lift, spec.Q, spec.R)
             if lmi_ok:
                 lmi_passes += 1
                 assert stable
             if matkit.spectral_abscissa(model.A) < 0:
                 try:
-                    _, _, sg_ok = small_gain_check(model, K, a_hat, At, Bt)
+                    _, _, sg_ok = small_gain_check(model, lift)
                 except NotHurwitz:
                     sg_ok = False
                 if sg_ok:
@@ -504,7 +492,7 @@ class TestSoundness:
                     assert stable
                 if stable:
                     try:
-                        pb = performance_bound(model, K, plan, spec,
+                        pb = performance_bound(model, lift, spec,
                                                rng.standard_normal(model.n * model.N))
                     except NotHurwitz:
                         continue
@@ -529,8 +517,36 @@ class TestRobustReport:
         spec = scalar_pair_spec()
         plan = construct_T(spec.G1, spec.G2)
         model = scalar_pair_model()
-        _, _, _, _, K_are = hetero_lift(model, plan, spec)
+        K_are = hetero_lift(model, plan, spec).k
         rep = robust_report(model, plan, spec, np.array([1.0, 0.0]),
                             gain=K_are + 0.01)
         assert rep.gain_gap == pytest.approx(0.02, rel=1e-10)
         assert rep.verdicts["deployed_stable"] is True
+
+    def test_report_composes_the_public_checks(self):
+        # the report is the three certificates read off one lift, with no
+        # value of its own
+        model, spec, plan, x0, lift, _, _ = middle_factor_case(0)
+        rep = robust_report(model, plan, spec, x0)
+        lmi_max, lmi_ok = lmi_stability_check(lift, spec.Q, spec.R)
+        lhs, rhs, sg_ok = small_gain_check(model, lift)
+        pb = performance_bound(model, lift, spec, x0)
+        assert (rep.lmi_max_eig, rep.small_gain_lhs, rep.small_gain_rhs) == (lmi_max, lhs, rhs)
+        assert ((rep.epsilon, rep.alpha, rep.j2_bar, rep.bound, rep.actual_j2)
+                == (pb.epsilon, pb.alpha, pb.j2_bar, pb.bound, pb.actual_j2))
+        assert rep.gain_gap == 0.0
+        assert rep.verdicts == {"lmi": lmi_ok, "small_gain": sg_ok,
+                                "bound_holds": pb.holds, "deployed_stable": True}
+
+    def test_one_lift_per_report(self, monkeypatch):
+        # T_n and T_m are formed once per report, by hetero_lift
+        model, spec, plan, x0, _, _, _ = middle_factor_case(0)
+        calls = []
+
+        def counted(T, k):
+            calls.append(k)
+            return kron_lift(T, k)
+
+        monkeypatch.setattr(robust, "kron_lift", counted)
+        robust_report(model, plan, spec, x0)
+        assert calls == [model.n, model.m]
