@@ -17,10 +17,8 @@ from .decomp import (
 from .lqr import (
     AgentModel,
     assemble_gain,
-    controllability_ok,
     evaluate_cost,
     kleinman_pi,
-    observability_ok,
 )
 from .matkit import SymEig, kron, solve_are, solve_lyapunov, support_partition, sym_eig
 from .rl import (
@@ -62,7 +60,6 @@ __all__ = [
     "check_commute",
     "collect_batch",
     "construct_T",
-    "controllability_ok",
     "evaluate_cost",
     "h2_norm",
     "hetero_lift",
@@ -72,7 +69,6 @@ __all__ = [
     "kleinman_pi",
     "kron",
     "lmi_stability_check",
-    "observability_ok",
     "offpolicy_pi",
     "performance_bound",
     "project_problem",

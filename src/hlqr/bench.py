@@ -52,6 +52,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.N < 2:
             raise PreconditionFailed("N must be >= 2")
+        if self.seed < 0:
+            raise PreconditionFailed(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.hetero <= 0.9:
             raise PreconditionFailed("hetero must be within [0, 0.9]")
         unknown = set(self.solvers) - set(SOLVERS)

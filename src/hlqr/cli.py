@@ -97,9 +97,10 @@ def cmd_solve(args) -> int:
         K = assemble_gain(plan, gains, spec.n, spec.m)
         stats = []
     else:
+        excitation = decomp.ExcitationConfig(seed=args.seed)
         k_agent = bench.derive_initial_gain(plant.A, plant.B, seed=args.seed)
         config = rl.HierarchicalConfig(
-            excitation=decomp.ExcitationConfig(seed=args.seed),
+            excitation=excitation,
             initial_gains=[matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes],
         )
         K, stats = rl.hierarchical_solve(spec, plan, plant, config)

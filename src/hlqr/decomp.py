@@ -86,6 +86,8 @@ class ExcitationConfig:
             raise PreconditionFailed("frequency_range must be positive and ordered")
         if self.amplitude < 0:
             raise PreconditionFailed("amplitude must be nonnegative")
+        if self.seed < 0:
+            raise PreconditionFailed(f"seed must be nonnegative, got {self.seed}")
 
 
 def unknown_count(state_dim: int, input_dim: int) -> int:
@@ -297,6 +299,8 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     :func:`verify_plan` that :func:`project_problem` enforces, the trivial
     single-cluster plan is returned with ``decomposable=False``.
     """
+    if not 0.0 < tol < np.inf:
+        raise PreconditionFailed(f"tol must be finite and positive, got {tol!r}")
     G1 = matkit.require_square(G1, "G1")
     G2 = matkit.require_square(G2, "G2")
     if G1.shape != G2.shape:

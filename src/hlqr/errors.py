@@ -42,10 +42,6 @@ class ExcitationDeficient(PreconditionFailed):
     """
 
 
-class NonzeroFeedthrough(PreconditionFailed):
-    """H2 norm requested for a system with D != 0."""
-
-
 class SolverFailure(Exception):
     """An iterative solver failed to produce an acceptable result."""
 

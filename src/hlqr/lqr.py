@@ -1,11 +1,11 @@
-"""Model-based LQR machinery: solvability rank tests, Kleinman policy
-iteration (the oracle the data-driven solver is validated against),
-quadratic cost evaluation, and assembly of the global gain from
-per-cluster gains."""
+"""Model-based LQR machinery: Kleinman policy iteration (the oracle the
+data-driven solver is validated against), quadratic cost evaluation, and
+assembly of the global gain from per-cluster gains."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,28 +34,11 @@ class AgentModel:
             raise DimensionMismatch(f"A is {self.A.shape}, B is {self.B.shape}")
 
 
-def homogeneous_global(model: AgentModel, N: int) -> AgentModel:
-    """Global pair (I_N (x) A, I_N (x) B) for N identical agents."""
-    return AgentModel(matkit.kron(np.eye(N), model.A), matkit.kron(np.eye(N), model.B))
-
-
-def controllability_ok(A, B, tol: float = matkit.RANK_RTOL) -> bool:
-    """Numerical full-rank test of the Krylov stack [B, AB, ..., A^(n-1) B]."""
-    A = matkit.require_square(A, "A")
-    return matkit.ctrb_rank(A, B, tol) == A.shape[0]
-
-
-def observability_ok(C, A, tol: float = matkit.RANK_RTOL) -> bool:
-    """Numerical full-rank test of the stacked [C; CA; ...; CA^(n-1)]."""
-    A = matkit.require_square(A, "A")
-    return matkit.obsv_rank(C, A, tol) == A.shape[0]
-
-
 def kleinman_pi(A, B, Q, R, K0, tol: float = 1e-10, max_iter: int = 50):
     """Kleinman policy iteration from a stabilizing gain K0.
 
-    Each step solves the closed-loop Lyapunov equation
-    (A - B K)' P + P (A - B K) + Q + K' R K = 0 and updates
+    Each step (``matkit.kleinman_steps``) solves the closed-loop Lyapunov
+    equation (A - B K)' P + P (A - B K) + Q + K' R K = 0 and updates
     K <- R^-1 B' P; stops when ||P_k - P_(k-1)||_F <= tol, or when the
     difference stagnates at the round-off floor 1e-12 * ||P_k||_F (an
     absolute tol below that floor is not representable). The final pair
@@ -68,14 +51,12 @@ def kleinman_pi(A, B, Q, R, K0, tol: float = 1e-10, max_iter: int = 50):
     B = matkit.as_matrix(B, "B")
     Q = matkit.require_square(Q, "Q")
     R = matkit.require_square(R, "R")
-    K = matkit.as_matrix(K0, "K0")
-    if matkit.spectral_abscissa(A - B @ K) >= 0:
+    K0 = matkit.as_matrix(K0, "K0")
+    if matkit.spectral_abscissa(A - B @ K0) >= 0:
         raise K0NotStabilizing("A - B K0 is not Hurwitz")
     iterates = []
     P_prev = None
-    for _ in range(max_iter):
-        P = matkit.solve_lyapunov(A - B @ K, matkit.symmetrize(Q + K.T @ R @ K))
-        K = np.linalg.solve(R, B.T @ P)
+    for P, K in islice(matkit.kleinman_steps(A, B, Q, R, K0), max_iter):
         iterates.append((P, K))
         if P_prev is not None:
             diff = float(np.linalg.norm(P - P_prev))

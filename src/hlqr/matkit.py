@@ -14,6 +14,7 @@ alone.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,6 +65,8 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     A = as_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
+    if A.size == 0:
+        raise DimensionMismatch(f"{name} must not be empty, got shape {A.shape}")
     return A
 
 
@@ -229,6 +232,17 @@ def are_residual(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(A.T @ P + P @ A + Q - BtP.T @ np.linalg.solve(R, BtP)))
 
 
+def kleinman_steps(A, B, Q, R, K):
+    """Kleinman (Newton) steps on the Riccati equation from a stabilizing
+    gain K, without end: each solves the closed-loop Lyapunov equation
+    (A - BK)'P + P(A - BK) + Q + K'RK = 0 and yields (P, K+) with
+    K+ = R^-1 B'P, the gain of the next step. The caller stops it."""
+    while True:
+        P = solve_lyapunov(A - B @ K, symmetrize(Q + K.T @ R @ K))
+        K = np.linalg.solve(R, B.T @ P)
+        yield P, K
+
+
 def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, str]:
     """Stabilizing solution of A'P + PA + Q - PGP = 0 by the structure-
     preserving doubling algorithm (Chu, Fan & Lin, Linear Algebra Appl.
@@ -289,9 +303,10 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
     P is seeded by structure-preserving doubling on n-square blocks (Chu,
     Fan & Lin 2005; see ``_sda_riccati`` for its gamma and stop rules);
     while the bound is missed, up to ``NEWTON_STEPS`` Kleinman (Newton)
-    steps polish it. A non-stabilizing gain, a bound still missed after
-    those steps, or a numerical breakdown raises ``SolverDiverged`` naming
-    the phase, gamma, the doublings taken and the last relative step.
+    steps of ``kleinman_steps`` polish it. A non-stabilizing gain, a bound
+    still missed after those steps, or a numerical breakdown raises
+    ``SolverDiverged`` naming the phase, gamma, the doublings taken and the
+    last relative step.
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
@@ -313,7 +328,8 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
     P, seed_run = _sda_riccati(A, G, Q)
     try:
         K = np.linalg.solve(R, B.T @ P)
-        for step in range(NEWTON_STEPS + 1):
+        polish = islice(kleinman_steps(A, B, Q, R, K), NEWTON_STEPS)
+        for step, (P, K) in enumerate(chain([(P, K)], polish)):
             if spectral_abscissa(A - B @ K) >= 0:
                 raise SolverDiverged(
                     f"Newton polish: Riccati gain does not stabilize A - BK after "
@@ -321,10 +337,6 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
                 )
             if are_residual(A, B, Q, R, P) <= tol * float(np.linalg.norm(P)) * a_scale:
                 return P, K
-            if step == NEWTON_STEPS:
-                break
-            P = solve_lyapunov(A - B @ K, symmetrize(Q + K.T @ R @ K))
-            K = np.linalg.solve(R, B.T @ P)
     except np.linalg.LinAlgError as exc:
         raise SolverDiverged(
             f"Newton polish broke down: {exc} (doubling seed: {seed_run})"
@@ -368,13 +380,6 @@ def save_matrix_csv(M, path) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-
-
-def save_matrix(M, path) -> None:
-    if str(path).endswith(".json"):
-        save_matrix_json(M, path)
-    else:
-        save_matrix_csv(M, path)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -20,14 +20,8 @@ import numpy as np
 
 from . import matkit
 from .decomp import DecompositionPlan, LqrSpec, kron_lift
-from .errors import (
-    DimensionMismatch,
-    NonzeroFeedthrough,
-    NotHurwitz,
-    PreconditionFailed,
-    SolverDiverged,
-)
-from .lqr import controllability_ok, evaluate_cost
+from .errors import DimensionMismatch, NotHurwitz, PreconditionFailed, SolverDiverged
+from .lqr import evaluate_cost
 
 HINF_AXIS_RTOL = 1e-8
 HINF_MAX_ROUNDS = 30
@@ -71,25 +65,20 @@ class HeteroModel:
 
 @dataclass(eq=False)
 class LtiSystem:
-    """State-space realization (A, B, C, D); D defaults to zero."""
+    """Strictly proper state-space realization (A, B, C):
+    G(s) = C (sI - A)^-1 B."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray | None = None
 
     def __post_init__(self):
         self.A = matkit.require_square(self.A, "A")
         self.B = matkit.as_matrix(self.B, "B")
         self.C = matkit.as_matrix(self.C, "C")
-        if self.D is None:
-            self.D = np.zeros((self.C.shape[0], self.B.shape[1]))
-        self.D = matkit.as_matrix(self.D, "D")
         n = self.A.shape[0]
         if self.B.shape[0] != n or self.C.shape[1] != n:
             raise DimensionMismatch("B/C do not conform to A")
-        if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise DimensionMismatch("D does not conform to B/C")
 
 
 @dataclass(eq=False)
@@ -151,12 +140,11 @@ class HeteroLift(NamedTuple):
 
 def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> HeteroLift:
     """Solve the transformed design problem for a heterogeneous plant with
-    the spec's weights. Requires the global pair controllable and Q
-    positive definite; raises ``NotHurwitz`` if the transformed closed
-    loop is not Hurwitz.
+    the spec's weights. Requires Q positive definite and the pair
+    controllable (``solve_are`` tests the transformed pair, orthogonally
+    similar to the plant's); raises ``NotHurwitz`` if the transformed
+    closed loop is not Hurwitz.
     """
-    if not controllability_ok(model.A, model.B):
-        raise PreconditionFailed("(A, B) of the heterogeneous plant is not controllable")
     if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(spec.G1)))) <= 0:
         raise PreconditionFailed("Q must be positive definite (G1 must be PD)")
     Tn, Tm = kron_lift(plan.T, model.n), kron_lift(plan.T, model.m)
@@ -200,36 +188,26 @@ def lmi_stability_check(lift: HeteroLift, Q, R):
     return max_eig, max_eig < 0
 
 
-def _sigma_max_at(solve_triangular, T, CU, UhB, D, omega: float) -> float:
+def _sigma_max_at(solve_triangular, T, CU, UhB, omega: float) -> float:
     """sigma_max(G(jw)) from the Schur factors A = U T U^H:
-    G(jw) = (C U) (jw I - T)^-1 (U^H B) + D, one ``solve_triangular``
+    G(jw) = (C U) (jw I - T)^-1 (U^H B), one ``solve_triangular``
     (scipy's, bound once by the caller), and
     sigma_max^2 the largest eigenvalue of the smaller Gram matrix of G:
     cheaper than an SVD, with a relative error of the order of rounding."""
     shifted = -T
     shifted[np.diag_indices_from(shifted)] += 1j * omega
-    G = CU @ solve_triangular(shifted, UhB) + D
+    G = CU @ solve_triangular(shifted, UhB)
     gram = G.conj().T @ G if G.shape[0] >= G.shape[1] else G @ G.conj().T
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def _axis_crossings(sys: LtiSystem, gamma: float) -> np.ndarray:
     """Frequencies w >= 0 at which sigma_max(G(jw)) crosses the level
-    gamma > ||D||: the imaginary parts of the imaginary-axis eigenvalues
-    of the Hamiltonian at gamma, sorted (empty when there is none)."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    Rg = gamma * gamma * np.eye(D.shape[1]) - D.T @ D
-    if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(Rg)))) <= 0:
-        raise SolverDiverged("H-infinity test level is not above ||D||")
-    RiBt = np.linalg.solve(Rg, B.T)
-    RiDtC = np.linalg.solve(Rg, D.T @ C)
-    Abar = A + B @ RiDtC
-    H = np.block(
-        [
-            [Abar, B @ RiBt],
-            [-C.T @ (np.eye(D.shape[0]) + D @ np.linalg.solve(Rg, D.T)) @ C, -Abar.T],
-        ]
-    )
+    gamma > 0: the imaginary parts of the imaginary-axis eigenvalues of
+    the Hamiltonian [[A, B B' / gamma^2], [-C'C, -A']], sorted (empty when
+    there is none)."""
+    A, B, C = sys.A, sys.B, sys.C
+    H = np.block([[A, B @ (B.T * (1.0 / (gamma * gamma)))], [-C.T @ C, -A.T]])
     try:
         eig = np.linalg.eigvals(H)
     except np.linalg.LinAlgError as exc:
@@ -246,8 +224,8 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     One complex Schur form A = U T U^H serves the whole call: diag(T)
     gives the Hurwitz check and the resonant frequencies, and each
     sigma_max(G(jw)) is one triangular solve with jw I - T (Laub 1981).
-    A lower bound ``lo`` is the largest of ||D|| and sigma_max at zero,
-    at the ``HINF_RESONANT_PROBES`` most lightly damped resonances of A
+    A lower bound ``lo`` is the largest sigma_max at zero, at the
+    ``HINF_RESONANT_PROBES`` most lightly damped resonances of A
     (smallest -Re(lambda)/|lambda| among the eigenvalues with Im(lambda)
     > 0) and on a log grid. Any sigma_max is a valid lower bound, so the
     probes only decide how close ``lo`` starts; the certificate comes
@@ -274,16 +252,15 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     eig = np.diag(T)
     if float(np.max(eig.real)) >= 0:
         raise NotHurwitz("A must be Hurwitz")
-    d_norm = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
     if float(np.linalg.norm(sys.B)) == 0.0 or float(np.linalg.norm(sys.C)) == 0.0:
-        return d_norm
-    probe_args = (solve_triangular, T, sys.C @ U, U.conj().T @ sys.B, sys.D)
+        return 0.0
+    probe_args = (solve_triangular, T, sys.C @ U, U.conj().T @ sys.B)
     resonant = eig[eig.imag > 0]
     damping = -resonant.real / np.abs(resonant)
     lightest = resonant[np.argsort(damping, kind="stable")[:HINF_RESONANT_PROBES]]
     scale = max(1.0, float(np.max(np.abs(eig))))
     probes = [0.0, *lightest.imag, *(scale * np.logspace(-2, 2, 25))]
-    lo = max([d_norm] + [_sigma_max_at(*probe_args, w) for w in probes])
+    lo = max(_sigma_max_at(*probe_args, w) for w in probes)
     if lo <= 0.0:
         return 0.0
     excess = 0.5 * tol
@@ -304,9 +281,7 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
 
 def h2_norm(sys: LtiSystem) -> float:
     """H2 norm sqrt(trace(C X C')) with the controllability gramian
-    A X + X A' + B B' = 0; requires A Hurwitz and D = 0."""
-    if float(np.linalg.norm(sys.D)) != 0.0:
-        raise NonzeroFeedthrough("H2 norm requires D = 0")
+    A X + X A' + B B' = 0; requires A Hurwitz."""
     if matkit.spectral_abscissa(sys.A) >= 0:
         raise NotHurwitz("A must be Hurwitz")
     X = matkit.solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
@@ -407,10 +382,15 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
     The certificates are evaluated at the transformed-Riccati gain (their
     algebra requires it); a deployed ``gain``, when supplied, is compared
     against it and used for the deployed-loop diagnostics. Checks whose
-    preconditions fail are reported as None verdicts rather than errors.
+    preconditions fail are reported as None verdicts rather than errors;
+    a gain or x0 that does not fit the design raises ``DimensionMismatch``.
     """
     lift = hetero_lift(model, plan, spec)
     deployed = lift.k if gain is None else matkit.as_matrix(gain, "gain")
+    if deployed.shape != lift.k.shape:
+        raise DimensionMismatch(f"gain is {deployed.shape}, expected {lift.k.shape}")
+    if np.size(x0) != lift.a_hat.shape[0]:
+        raise DimensionMismatch(f"x0 has size {np.size(x0)}, expected {lift.a_hat.shape[0]}")
     gain_gap = float(np.linalg.norm(deployed - lift.k))
 
     lmi_max, lmi_pass = lmi_stability_check(lift, spec.Q, spec.R)

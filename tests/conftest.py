@@ -28,12 +28,12 @@ def random_laplacian(rng, N):
 
 def random_controllable(rng, n, m, max_tries=50):
     """Random (A, B) with a full-rank controllability matrix."""
-    from hlqr.lqr import controllability_ok
+    from hlqr.matkit import ctrb_rank
 
     for _ in range(max_tries):
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, m))
-        if controllability_ok(A, B):
+        if ctrb_rank(A, B) == n:
             return A, B
     raise AssertionError("could not draw a controllable pair")
 

@@ -21,13 +21,7 @@ from hlqr.decomp import (
     verify_plan,
 )
 from hlqr.errors import NotHurwitz, PreconditionFailed
-from hlqr.lqr import (
-    AgentModel,
-    assemble_gain,
-    evaluate_cost,
-    homogeneous_global,
-    observability_ok,
-)
+from hlqr.lqr import AgentModel, assemble_gain, evaluate_cost
 from hlqr.robust import (
     HeteroModel,
     LtiSystem,
@@ -136,7 +130,7 @@ def test_criterion_3_oracle_equivalence():
             _, Ki = matkit.solve_are(Ai, Bi, p.Qblock, p.Rblock)
             gains.append(Ki)
         K_assembled = assemble_gain(plan, gains, spec.n, spec.m)
-        glob = homogeneous_global(AgentModel(A, B), spec.N)
+        glob = AgentModel(matkit.kron(np.eye(spec.N), A), matkit.kron(np.eye(spec.N), B))
         _, K_opt = matkit.solve_are(glob.A, glob.B, spec.Q, spec.R)
         worst_mb = max(worst_mb,
                        np.linalg.norm(K_assembled - K_opt) / np.linalg.norm(K_opt))
@@ -187,7 +181,7 @@ def test_criterion_4_decomposition_invariants():
 
         spec = LqrSpec(N, n, m, G1, G2, np.eye(n), np.eye(m))
         A, B = random_controllable(rng, n, m)
-        glob = homogeneous_global(AgentModel(A, B), N)
+        glob = AgentModel(matkit.kron(np.eye(N), A), matkit.kron(np.eye(N), B))
         _, K = matkit.solve_are(glob.A, glob.B, spec.Q, spec.R)
         Tn, Tm = kron_lift(plan.T, n), kron_lift(plan.T, m)
         x0 = rng.standard_normal(n * N)
@@ -259,7 +253,7 @@ def test_criterion_5_observability_positivity_equivalence():
         Q0 = random_spd(rng, n)
         A = rng.standard_normal((n, n))
         C = matkit.sqrtm_psd(matkit.kron(matkit.symmetrize(G1), Q0))
-        obs = observability_ok(C, matkit.kron(np.eye(N), A))
+        obs = matkit.obsv_rank(C, matkit.kron(np.eye(N), A)) == N * n
         agree += int(obs == (not singular))
     elapsed = time.perf_counter() - t0
     report(

@@ -174,6 +174,60 @@ def test_precondition_exit_code(tmp_path):
     assert rc == 2
 
 
+def _bad_input_argv(tmp, case):
+    """argv of one command whose input ``case`` is malformed, after running
+    the commands that make its other inputs."""
+    def f(name):
+        return str(tmp / name)
+
+    decompose = ["decompose", "--g1", f("g1.csv"), "--g2", f("g2.json"), "--out", f("plan.json")]
+    solve = ["solve", "--spec", f("spec.json"), "--plan", f("plan.json"), "--out", f("gain.json")]
+    if case == "empty-g1-g2":
+        matkit.save_matrix_json(np.zeros((0, 0)), tmp / "empty.json")
+        return ["decompose", "--g1", f("empty.json"), "--g2", f("empty.json"),
+                "--out", f("plan.json")]
+    if case == "zero-agent-spec":
+        spec_obj = json.loads((tmp / "spec.json").read_text())
+        empty = matkit.matrix_to_json(np.zeros((0, 0)))
+        spec_obj.update(N=0, G1=empty, G2=empty)
+        (tmp / "spec.json").write_text(json.dumps(spec_obj))
+        return solve + ["--mode", "model-based"]
+    if case == "bench-negative-seed":
+        return ["bench", "--n", "2", "--seed", "-1", "--out", f("bench")]
+    if case.startswith("tol-"):
+        return decompose + ["--tol", case[len("tol-"):]]
+    assert cli.main(decompose) == 0
+    if case == "solve-negative-seed":
+        return solve + ["--mode", "model-free", "--seed", "-1"]
+    assert cli.main(solve + ["--mode", "model-based"]) == 0
+    if case == "gain-shape":
+        K = matkit.matrix_from_json(json.loads((tmp / "gain.json").read_text())["K"])
+        (tmp / "gain.json").write_text(json.dumps({"K": matkit.matrix_to_json(K[:-1])}))
+    else:
+        x0 = matkit.load_vector(tmp / "x0.csv")
+        matkit.save_matrix_csv(x0[:-1].reshape(-1, 1), tmp / "x0.csv")
+    return ["robust", "--plan", f("plan.json"), "--model", f("model.json"),
+            "--gain", f("gain.json"), "--x0", f("x0.csv"), "--out", f("report.json")]
+
+
+@pytest.mark.parametrize("case, named", [
+    ("empty-g1-g2", "G1"),
+    ("zero-agent-spec", "G1"),
+    ("bench-negative-seed", "seed"),
+    ("solve-negative-seed", "seed"),
+    ("gain-shape", "gain"),
+    ("x0-length", "x0"),
+    ("tol-nan", "tol"),
+    ("tol--1", "tol"),
+])
+def test_bad_input_exits_2_naming_it(toy_files, capsys, case, named):
+    argv = _bad_input_argv(toy_files[0], case)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_exit_code_mapping():
     assert cli.exit_code_for(PreconditionFailed("x")) == 2
     assert cli.exit_code_for(ExcitationDeficient("x")) == 2

@@ -80,6 +80,12 @@ class TestKron:
         assert np.linalg.norm(left - right) <= 1e-10 * max(np.linalg.norm(right), 1.0)
 
 
+class TestRequireSquare:
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatch, match="^G1 must not be empty"):
+            matkit.require_square(np.zeros((0, 0)), "G1")
+
+
 class TestSymEig:
     def test_identity(self):
         e = matkit.sym_eig(np.eye(3))
@@ -298,6 +304,14 @@ class TestSolveAre:
         P, _ = matkit.solve_are(model.A, model.B, spec.Q, spec.R)
         assert_matches_scipy(P, model.A, model.B, spec.Q, spec.R)
 
+    def test_kleinman_step_fixes_the_riccati_solution(self, rng):
+        A, B = random_controllable(rng, 3, 2)
+        Q, R = random_spd(rng, 3), random_spd(rng, 2)
+        P, K = matkit.solve_are(A, B, Q, R)
+        P1, K1 = next(matkit.kleinman_steps(A, B, Q, R, K))
+        np.testing.assert_allclose(P1, P, rtol=1e-8, atol=1e-10 * np.linalg.norm(P))
+        np.testing.assert_allclose(K1, K, rtol=1e-8, atol=1e-10 * np.linalg.norm(K))
+
     def test_singular_solve_raises_solver_diverged(self, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -395,8 +409,9 @@ class TestMatrixIO:
 
     def test_dispatch_by_extension(self, rng, tmp_path):
         M = rng.standard_normal((2, 2))
-        for name in ("m.csv", "m.json"):
-            matkit.save_matrix(M, tmp_path / name)
+        for name, save in (("m.csv", matkit.save_matrix_csv),
+                           ("m.json", matkit.save_matrix_json)):
+            save(M, tmp_path / name)
             np.testing.assert_array_equal(matkit.load_matrix(tmp_path / name), M)
 
     def test_json_shape_validation(self):
