@@ -18,6 +18,7 @@ from .lqr import (
     AgentModel,
     assemble_gain,
     evaluate_cost,
+    hierarchical_model_based,
     kleinman_pi,
 )
 from .matkit import SymEig, kron, solve_are, solve_lyapunov, support_partition, sym_eig
@@ -63,6 +64,7 @@ __all__ = [
     "evaluate_cost",
     "h2_norm",
     "hetero_lift",
+    "hierarchical_model_based",
     "hierarchical_solve",
     "hinf_norm",
     "invariant_subspace_check",

@@ -56,6 +56,8 @@ class BenchConfig:
             raise PreconditionFailed(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.hetero <= 0.9:
             raise PreconditionFailed("hetero must be within [0, 0.9]")
+        if not 0.0 < self.timeout_s < np.inf:
+            raise PreconditionFailed(f"timeout_s must be finite and > 0, got {self.timeout_s}")
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise PreconditionFailed(f"unknown solvers {sorted(unknown)}")

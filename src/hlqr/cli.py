@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bench, decomp, matkit, rl, robust
 from .errors import PreconditionFailed, SolverFailure
-from .lqr import AgentModel, assemble_gain
+from .lqr import AgentModel, hierarchical_model_based
 
 
 def _read(load, path):
@@ -88,13 +88,7 @@ def cmd_solve(args) -> int:
         raise PreconditionFailed("spec file must carry the agent model A/B")
     t0 = time.perf_counter()
     if args.mode == "model-based":
-        problems = decomp.project_problem(spec, plan)
-        plants = rl.cluster_plants(plant, plan, spec)
-        gains = [
-            matkit.solve_are(c.A, c.B, p.Qblock, p.Rblock)[1]
-            for c, p in zip(plants, problems)
-        ]
-        K = assemble_gain(plan, gains, spec.n, spec.m)
+        K, _ = hierarchical_model_based(spec, plan, plant)
         stats = []
     else:
         excitation = decomp.ExcitationConfig(seed=args.seed)

@@ -188,17 +188,17 @@ def check_commute(G1, G2, tol: float = 1e-8) -> bool:
     return comm <= tol * float(np.linalg.norm(A)) * float(np.linalg.norm(B))
 
 
-def invariant_subspace_check(G, Gamma, tol: float = 1e-8) -> bool:
+def invariant_subspace_check(G, Gamma) -> bool:
     """True iff the column span of the orthonormal Gamma is G-invariant."""
     G = matkit.require_square(G, "G")
     Gamma = matkit.as_matrix(Gamma, "Gamma")
     N, s = Gamma.shape
     if N != G.shape[0] or s >= N:
         raise DimensionMismatch("Gamma must be N x s with s < N")
-    if float(np.linalg.norm(Gamma.T @ Gamma - np.eye(s))) > tol:
+    if float(np.linalg.norm(Gamma.T @ Gamma - np.eye(s))) > matkit.DEFAULT_TOL:
         raise NotOrthonormal("Gamma columns must be orthonormal")
     defect = G @ Gamma - Gamma @ (Gamma.T @ G @ Gamma)
-    return float(np.linalg.norm(defect)) <= tol * float(np.linalg.norm(G))
+    return float(np.linalg.norm(defect)) <= matkit.DEFAULT_TOL * float(np.linalg.norm(G))
 
 
 def _sign_fix_rows(F: np.ndarray) -> np.ndarray:
@@ -370,8 +370,7 @@ def _off_block_norm(M: np.ndarray, plan: DecompositionPlan, blocks) -> float:
     return float(np.linalg.norm(M))
 
 
-def verify_plan(plan: DecompositionPlan, G1, G2, tol: float = matkit.DEFAULT_TOL,
-                orth_tol: float = matkit.ORTH_TOL) -> PlanCheck:
+def verify_plan(plan: DecompositionPlan, G1, G2) -> PlanCheck:
     """Diagnostic residuals for a plan: orthogonality of T and the distance
     of each transformed weight matrix from the plan's block diagonal."""
     G1 = matkit.require_square(G1, "G1")
@@ -383,9 +382,9 @@ def verify_plan(plan: DecompositionPlan, G1, G2, tol: float = matkit.DEFAULT_TOL
     d1 = _off_block_norm(T @ G1 @ T.T, plan, plan.phi_blocks)
     d2 = _off_block_norm(T @ G2 @ T.T, plan, plan.psi_blocks)
     passed = (
-        orth <= orth_tol
-        and d1 <= tol * float(np.linalg.norm(G1))
-        and d2 <= tol * float(np.linalg.norm(G2))
+        orth <= matkit.ORTH_TOL
+        and d1 <= matkit.DEFAULT_TOL * float(np.linalg.norm(G1))
+        and d2 <= matkit.DEFAULT_TOL * float(np.linalg.norm(G2))
     )
     return PlanCheck(orth, d1, d2, passed)
 

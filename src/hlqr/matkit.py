@@ -145,7 +145,7 @@ def support_partition(M, tol: float = 1e-9) -> list[list[int]]:
     return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
-def solve_lyapunov(A, W, tol: float = DEFAULT_TOL) -> np.ndarray:
+def solve_lyapunov(A, W) -> np.ndarray:
     """Solve A'X + XA + W = 0 for symmetric X; A must be Hurwitz.
 
     Bartels-Stewart through ``scipy.linalg``, imported on the first call."""
@@ -155,27 +155,27 @@ def solve_lyapunov(A, W, tol: float = DEFAULT_TOL) -> np.ndarray:
     W = require_square(W, "W")
     if A.shape != W.shape:
         raise DimensionMismatch(f"A is {A.shape}, W is {W.shape}")
-    if not is_symmetric(W, tol):
+    if not is_symmetric(W):
         raise NotSymmetric("W must be symmetric")
     if spectral_abscissa(A) >= 0:
         raise NotHurwitz("A must be Hurwitz")
     X = symmetrize(solve_continuous_lyapunov(A.T, -symmetrize(W)))
     residual = float(np.linalg.norm(A.T @ X + X @ A + W))
-    bound = tol * (np.linalg.norm(X) * np.linalg.norm(A) + np.linalg.norm(W))
+    bound = DEFAULT_TOL * (np.linalg.norm(X) * np.linalg.norm(A) + np.linalg.norm(W))
     if residual > max(bound, np.finfo(float).tiny):
         raise SolverDiverged(f"Lyapunov residual {residual:.3e} above {bound:.3e}")
     return X
 
 
-def numerical_rank(M, rtol: float = RANK_RTOL) -> int:
-    """Count of singular values above rtol times the largest."""
+def numerical_rank(M) -> int:
+    """Count of singular values above RANK_RTOL times the largest."""
     s = np.linalg.svd(as_matrix(M, "M"), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def ctrb_rank(A, B, rtol: float = RANK_RTOL) -> int:
+def ctrb_rank(A, B) -> int:
     """Numerical rank of the Krylov stack [B, AB, A^2 B, ...].
 
     A is scaled to unit spectral norm first (block scalings do not change
@@ -193,36 +193,36 @@ def ctrb_rank(A, B, rtol: float = RANK_RTOL) -> int:
     bnorm = float(np.linalg.norm(B, 2))
     block = B / bnorm if bnorm > 0 else B
     stack = block
-    rank = numerical_rank(stack, rtol)
+    rank = numerical_rank(stack)
     for _ in range(n - 1):
         if rank >= n:
             break
         block = As @ block
         stack = np.hstack([stack, block])
-        new_rank = numerical_rank(stack, rtol)
+        new_rank = numerical_rank(stack)
         if new_rank == rank:
             break
         rank = new_rank
     return rank
 
 
-def obsv_rank(C, A, rtol: float = RANK_RTOL) -> int:
+def obsv_rank(C, A) -> int:
     """Numerical rank of the stacked observability matrix, by duality."""
-    return ctrb_rank(as_matrix(A, "A").T, as_matrix(C, "C").T, rtol)
+    return ctrb_rank(as_matrix(A, "A").T, as_matrix(C, "C").T)
 
 
-def sqrtm_psd(M, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrtm_psd(M) -> np.ndarray:
     """Symmetric PSD square root.
 
-    Eigenvalues below tol*scale in magnitude count as zero (taking the
-    square root of round-off noise would otherwise promote it across rank
-    thresholds); eigenvalues below -tol*scale are rejected.
+    Eigenvalues below DEFAULT_TOL*scale in magnitude count as zero (taking
+    the square root of round-off noise would otherwise promote it across
+    rank thresholds); eigenvalues below -DEFAULT_TOL*scale are rejected.
     """
-    e = sym_eig(M, tol)
+    e = sym_eig(M)
     scale = max(float(np.max(np.abs(e.values))), np.finfo(float).tiny)
-    if e.values[0] < -tol * scale:
+    if e.values[0] < -DEFAULT_TOL * scale:
         raise PreconditionFailed(f"matrix is not PSD (min eig {e.values[0]:.3e})")
-    vals = np.where(e.values < tol * scale, 0.0, e.values)
+    vals = np.where(e.values < DEFAULT_TOL * scale, 0.0, e.values)
     return symmetrize((e.vectors * np.sqrt(vals)) @ e.vectors.T)
 
 
@@ -294,20 +294,20 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     raise diverged(f"reached the cap of {SDA_MAX_DOUBLINGS} doublings")
 
 
-def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
+def solve_are(A, B, Q, R):
     """Solve the continuous algebraic Riccati equation.
 
     Returns (P, K) with P symmetric positive definite, K = R^-1 B' P and
     A - BK Hurwitz, meeting the residual bound
-    ||A'P + PA + Q - P B R^-1 B' P||_F <= tol * ||P||_F * max(1, ||A||_F)^2.
+    ||A'P + PA + Q - P B R^-1 B' P||_F <= DEFAULT_TOL * ||P||_F * max(1, ||A||_F)^2
+    (an ||A||_F^2 that overflows raises ``SolverDiverged`` before any doubling).
     P is seeded by structure-preserving doubling on n-square blocks (Chu,
     Fan & Lin 2005; see ``_sda_riccati`` for its gamma and stop rules);
     while the bound is missed, up to ``NEWTON_STEPS`` Kleinman (Newton)
     steps of ``kleinman_steps`` polish it. A non-stabilizing gain, a bound
     still missed after those steps, or a numerical breakdown raises
     ``SolverDiverged`` naming the phase, gamma, the doublings taken and the
-    last relative step.
-    """
+    last relative step."""
     A = require_square(A, "A")
     B = as_matrix(B, "B")
     Q = require_square(Q, "Q")
@@ -315,15 +315,20 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
     n = A.shape[0]
     if B.shape[0] != n or Q.shape[0] != n or R.shape[0] != B.shape[1]:
         raise DimensionMismatch("inconsistent ARE dimensions")
-    if not is_symmetric(R, tol) or np.min(np.linalg.eigvalsh(symmetrize(R))) <= 0:
+    if not is_symmetric(R) or np.min(np.linalg.eigvalsh(symmetrize(R))) <= 0:
         raise PreconditionFailed("R must be symmetric positive definite")
     if ctrb_rank(A, B) < n:
         raise PreconditionFailed("(A, B) is not controllable")
-    C = sqrtm_psd(Q, tol)
+    C = sqrtm_psd(Q)
     if obsv_rank(C, A) < n:
         raise PreconditionFailed("(Q^1/2, A) is not observable")
 
-    a_scale = max(1.0, float(np.linalg.norm(A))) ** 2
+    with np.errstate(over="ignore"):  # an overflowing ||A||_F is refused below
+        a_norm = max(1.0, float(np.linalg.norm(A)))
+    if a_norm * a_norm == np.inf:
+        raise SolverDiverged(f"||A||_F^2 overflows (max |A_ij| = {abs(A).max():.3g}): "
+                             "the Riccati residual bound is not finite")
+    a_scale = a_norm ** 2
     G = as_matrix(B @ np.linalg.solve(R, B.T), "Hamiltonian")
     P, seed_run = _sda_riccati(A, G, Q)
     try:
@@ -335,7 +340,7 @@ def solve_are(A, B, Q, R, tol: float = DEFAULT_TOL):
                     f"Newton polish: Riccati gain does not stabilize A - BK after "
                     f"{step} Newton steps (doubling seed: {seed_run})"
                 )
-            if are_residual(A, B, Q, R, P) <= tol * float(np.linalg.norm(P)) * a_scale:
+            if are_residual(A, B, Q, R, P) <= DEFAULT_TOL * float(np.linalg.norm(P)) * a_scale:
                 return P, K
     except np.linalg.LinAlgError as exc:
         raise SolverDiverged(
@@ -379,7 +384,10 @@ def save_matrix_csv(M, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    rows = [line for line in Path(path).read_text().splitlines() if line.split("#")[0].strip()]
+    if not rows:
+        raise ValueError("the file holds no data")
+    return np.loadtxt(rows, delimiter=",", ndmin=2, dtype=float)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -44,7 +44,6 @@ from .decomp import (
     DecompositionPlan,
     ExcitationConfig,
     LqrSpec,
-    kron_lift,
     project_problem,
     regression_bytes,
 )
@@ -60,7 +59,7 @@ from .errors import (
     PreconditionFailed,
     RegressionSingular,
 )
-from .lqr import AgentModel, assemble_gain
+from .lqr import assemble_gain, cluster_plants
 
 STATE_BLOWUP_NORM = 1e12
 PROBE_DT = 1e-2
@@ -712,60 +711,6 @@ class ClusterStats:
     residual: float
     wall_ms: float
     batch_of: int
-
-
-def _embedded_cluster(f_global, Tn_rows: np.ndarray, Tm_rows: np.ndarray):
-    """Black-box cluster dynamics from a black-box global plant: map the
-    cluster state/input back to agent coordinates (the transformed state
-    is zero outside the cluster), evaluate the plant, and keep the cluster
-    rows of the transformed derivative. ``Tn_rows`` and ``Tm_rows`` are
-    the cluster's rows of the state and input lifts."""
-
-    def dyn(xi, v):
-        dx = np.asarray(f_global(xi @ Tn_rows, v @ Tm_rows), dtype=float).ravel()
-        return Tn_rows @ dx
-
-    return dyn
-
-
-def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
-    """Per-cluster simulation targets for a homogeneous agent model, a
-    global (possibly heterogeneous) model, or a black-box callable.
-
-    For a global model the cluster plant is the corresponding diagonal
-    block of the transformed dynamics (exact for homogeneous plants, the
-    block-diagonal approximation otherwise). For an agent model, clusters
-    of equal size share one plant object, I_s (x) (A, B). The closures
-    of a black-box plant share one state lift and one input lift.
-    """
-    n, m, N = spec.n, spec.m, spec.N
-    if callable(plant) and not hasattr(plant, "A"):
-        Tn = kron_lift(plan.T, n)
-        Tm = kron_lift(plan.T, m)
-        return [
-            _embedded_cluster(plant, Tn[n * off:n * (off + s)], Tm[m * off:m * (off + s)])
-            for off, s in zip(plan.offsets(), plan.cluster_sizes)
-        ]
-    A = matkit.require_square(plant.A, "plant.A")
-    B = matkit.as_matrix(plant.B, "plant.B")
-    if A.shape == (n, n) and B.shape == (n, m):
-        by_size = {
-            s: AgentModel(matkit.kron(np.eye(s), A), matkit.kron(np.eye(s), B))
-            for s in set(plan.cluster_sizes)
-        }
-        return [by_size[s] for s in plan.cluster_sizes]
-    if A.shape == (n * N, n * N) and B.shape == (n * N, m * N):
-        Tn = kron_lift(plan.T, n)
-        Tm = kron_lift(plan.T, m)
-        Axi = Tn @ A @ Tn.T
-        Bxi = Tn @ B @ Tm.T
-        out = []
-        for off, s in zip(plan.offsets(), plan.cluster_sizes):
-            rs = slice(n * off, n * (off + s))
-            cs = slice(m * off, m * (off + s))
-            out.append(AgentModel(Axi[rs, rs], Bxi[rs, cs]))
-        return out
-    raise DimensionMismatch("plant dimensions match neither one agent nor the global system")
 
 
 def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,

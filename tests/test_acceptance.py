@@ -17,11 +17,10 @@ from hlqr.decomp import (
     LqrSpec,
     construct_T,
     kron_lift,
-    project_problem,
     verify_plan,
 )
 from hlqr.errors import NotHurwitz, PreconditionFailed
-from hlqr.lqr import AgentModel, assemble_gain, evaluate_cost
+from hlqr.lqr import AgentModel, evaluate_cost, hierarchical_model_based
 from hlqr.robust import (
     HeteroModel,
     LtiSystem,
@@ -122,14 +121,7 @@ def test_criterion_3_oracle_equivalence():
     for trial in range(50):
         spec, A, B = _random_decomposable_spec(rng)
         plan = construct_T(spec.G1, spec.G2)
-        problems = project_problem(spec, plan)
-        gains = []
-        for p, size in zip(problems, plan.cluster_sizes):
-            Ai = matkit.kron(np.eye(size), A)
-            Bi = matkit.kron(np.eye(size), B)
-            _, Ki = matkit.solve_are(Ai, Bi, p.Qblock, p.Rblock)
-            gains.append(Ki)
-        K_assembled = assemble_gain(plan, gains, spec.n, spec.m)
+        K_assembled, _ = hierarchical_model_based(spec, plan, AgentModel(A, B))
         glob = AgentModel(matkit.kron(np.eye(spec.N), A), matkit.kron(np.eye(spec.N), B))
         _, K_opt = matkit.solve_are(glob.A, glob.B, spec.Q, spec.R)
         worst_mb = max(worst_mb,
@@ -200,19 +192,11 @@ def test_criterion_4_decomposition_invariants():
         worst["sim_rel"] = max(worst["sim_rel"], sim_err / peak)
 
         # cost additivity for the per-cluster optimal policies
-        problems = project_problem(spec, plan)
-        gains, values = [], []
-        for p, size in zip(problems, plan.cluster_sizes):
-            Ai = matkit.kron(np.eye(size), A)
-            Bi = matkit.kron(np.eye(size), B)
-            Pi, Ki = matkit.solve_are(Ai, Bi, p.Qblock, p.Rblock)
-            gains.append(Ki)
-            values.append(Pi)
-        K_as = assemble_gain(plan, gains, n, m)
+        K_as, solved = hierarchical_model_based(spec, plan, AgentModel(A, B))
         J = evaluate_cost(glob.A - glob.B @ K_as, spec.Q + K_as.T @ spec.R @ K_as, x0)
         xi0 = Tn @ x0
         J_sum, off = 0.0, 0
-        for Pi, size in zip(values, plan.cluster_sizes):
+        for (Pi, _), size in zip(solved, plan.cluster_sizes):
             xi = xi0[off : off + n * size]
             J_sum += float(xi @ Pi @ xi)
             off += n * size

@@ -194,6 +194,12 @@ def _bad_input_argv(tmp, case):
         return solve + ["--mode", "model-based"]
     if case == "bench-negative-seed":
         return ["bench", "--n", "2", "--seed", "-1", "--out", f("bench")]
+    if case.startswith("bench-timeout-"):
+        return ["bench", "--n", "2", "--seed", "3", "--timeout-s", case[len("bench-timeout-"):],
+                "--solvers", "global-rl", "--out", f("bench")]
+    if case == "empty-csv":
+        (tmp / "g1.csv").write_text("")
+        return decompose
     if case.startswith("tol-"):
         return decompose + ["--tol", case[len("tol-"):]]
     assert cli.main(decompose) == 0
@@ -214,18 +220,43 @@ def _bad_input_argv(tmp, case):
     ("empty-g1-g2", "G1"),
     ("zero-agent-spec", "G1"),
     ("bench-negative-seed", "seed"),
+    ("bench-timeout-nan", "timeout_s"),
+    ("bench-timeout--1", "timeout_s"),
+    ("empty-csv", "g1.csv"),
     ("solve-negative-seed", "seed"),
     ("gain-shape", "gain"),
     ("x0-length", "x0"),
     ("tol-nan", "tol"),
     ("tol--1", "tol"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_naming_it(toy_files, capsys, case, named):
     argv = _bad_input_argv(toy_files[0], case)
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_plant_exits_3(tmp_path, capsys):
+    # ||A||_F^2 overflows the Riccati residual bound's scale: a solver
+    # failure before the doubling starts, with no numpy overflow warning
+    G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    one = matkit.matrix_to_json(np.eye(1))
+    spec_obj = {"N": 2, "n": 1, "m": 1, "G1": matkit.matrix_to_json(G1),
+                "G2": matkit.matrix_to_json(np.eye(2)), "Q0": one, "R0": one,
+                "A": matkit.matrix_to_json([[1e200]]), "B": one}
+    (tmp_path / "spec.json").write_text(json.dumps(spec_obj))
+    matkit.save_matrix_csv(G1, tmp_path / "g1.csv")
+    matkit.save_matrix_csv(np.eye(2), tmp_path / "g2.csv")
+    assert cli.main(["decompose", "--g1", str(tmp_path / "g1.csv"), "--g2",
+                     str(tmp_path / "g2.csv"), "--out", str(tmp_path / "plan.json")]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "--spec", str(tmp_path / "spec.json"), "--plan",
+                     str(tmp_path / "plan.json"), "--mode", "model-based",
+                     "--out", str(tmp_path / "gain.json")]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_exit_code_mapping():

@@ -366,28 +366,20 @@ class TestCoordinateEquivalence:
         assert err <= 1e-6
 
     def test_cost_additivity(self, rng):
-        from hlqr.lqr import assemble_gain, evaluate_cost
+        from hlqr.lqr import AgentModel, evaluate_cost, hierarchical_model_based
 
         N, n, m = 3, 1, 1
         L = random_laplacian(rng, N)
         G1 = 0.5 * np.eye(N) + L
         spec = LqrSpec(N, n, m, G1, np.eye(N), np.eye(n), np.eye(m))
         plan = construct_T(G1, np.eye(N))
-        problems = project_problem(spec, plan)
-        gains, values = [], []
-        for p, size in zip(problems, plan.cluster_sizes):
-            A = np.zeros((size, size))
-            B = np.eye(size)
-            P, K = matkit.solve_are(A, B, p.Qblock, p.Rblock)
-            gains.append(K)
-            values.append(P)
-        K = assemble_gain(plan, gains, n, m)
+        K, solved = hierarchical_model_based(spec, plan, AgentModel(np.zeros((n, n)), np.eye(n)))
         calA, calB = np.zeros((N, N)), np.eye(N)
         x0 = rng.standard_normal(N)
         J_global = evaluate_cost(calA - calB @ K, spec.Q + K.T @ spec.R @ K, x0)
         xi0 = kron_lift(plan.T, n) @ x0
         J_sum, off = 0.0, 0
-        for P, size in zip(values, plan.cluster_sizes):
+        for (P, _), size in zip(solved, plan.cluster_sizes):
             xi = xi0[off : off + size]
             J_sum += float(xi @ P @ xi)
             off += size

@@ -3,8 +3,14 @@ import pytest
 
 from hlqr import matkit
 from hlqr.decomp import DecompositionPlan, LqrSpec, construct_T, project_problem
-from hlqr.errors import K0NotStabilizing
-from hlqr.lqr import assemble_gain, evaluate_cost, kleinman_pi
+from hlqr.errors import K0NotStabilizing, PreconditionFailed
+from hlqr.lqr import (
+    AgentModel,
+    assemble_gain,
+    evaluate_cost,
+    hierarchical_model_based,
+    kleinman_pi,
+)
 from conftest import random_controllable, random_laplacian, random_spd
 
 
@@ -80,8 +86,7 @@ class TestKleinman:
     def test_double_integrator(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])
-        P, K, iters = kleinman_pi(A, B, np.eye(2), np.eye(1), [[1.0, 2.0]],
-                                  tol=1e-10)
+        P, K, iters = kleinman_pi(A, B, np.eye(2), np.eye(1), [[1.0, 2.0]])
         np.testing.assert_allclose(K, [[1.0, np.sqrt(3.0)]], atol=1e-8)
         assert len(iters) <= 10
 
@@ -142,19 +147,20 @@ class TestAssembleGain:
             Q0, R0 = random_spd(rng, n), random_spd(rng, m)
             spec = LqrSpec(N, n, m, G1, np.eye(N), Q0, R0)
             plan = construct_T(G1, np.eye(N))
-            problems = project_problem(spec, plan)
-            gains = []
-            for p, size in zip(problems, plan.cluster_sizes):
-                Ai = matkit.kron(np.eye(size), A)
-                Bi = matkit.kron(np.eye(size), B)
-                _, Ki = matkit.solve_are(Ai, Bi, p.Qblock, p.Rblock)
-                gains.append(Ki)
-            K = assemble_gain(plan, gains, n, m)
+            K, _ = hierarchical_model_based(spec, plan, AgentModel(A, B))
             eye = np.eye(N)
             _, K_opt = matkit.solve_are(matkit.kron(eye, A), matkit.kron(eye, B),
                                         spec.Q, spec.R)
             rel = np.linalg.norm(K - K_opt) / np.linalg.norm(K_opt)
             assert rel <= 1e-7
+
+    def test_model_based_refuses_callable_plant(self):
+        # a black-box plant has no A/B to solve the cluster Riccati equations with
+        G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        spec = LqrSpec(2, 1, 1, G1, np.eye(2), np.eye(1), np.eye(1))
+        plan = construct_T(G1, np.eye(2))
+        with pytest.raises(PreconditionFailed, match="A/B"):
+            hierarchical_model_based(spec, plan, lambda x, u: u)
 
 
 class TestEvaluateCost:
