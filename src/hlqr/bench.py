@@ -13,13 +13,11 @@ import numpy as np
 
 from . import matkit, rl
 from .decomp import (
-    WINDOW_FACTOR,
-    ClusterProblem,
     DecompositionPlan,
     ExcitationConfig,
     LqrSpec,
     construct_T,
-    unknown_count,
+    single_cluster_plan,
 )
 from .errors import (
     BudgetExceeded,
@@ -221,11 +219,16 @@ def _run_model_based(spec, model, x0):
     return K, SolverResult("model-based", "ok", wall, J=J, K=K)
 
 
-def _run_hierarchical(config, spec, model, x0):
+def _run_model_free(config, spec, model, x0, solver):
+    """The hierarchical row learns on ``construct_T``'s plan, the global row
+    on ``single_cluster_plan`` (T = I, r = 1), both by ``hierarchical_solve``
+    under one deadline per row, retried from a deeper K0 while the K0 probe
+    fails. A solve stopped by the deadline or the memory check is a timeout."""
     plant = AgentModel(model.A_blocks[0], model.B_blocks[0]) if config.hetero == 0 else model
     A_nom, B_nom = _point_mass_agent(1.0, 1.0)
     t0 = time.perf_counter()
-    plan = construct_T(spec.G1, spec.G2)
+    deadline = time.monotonic() + config.timeout_s
+    plan = (construct_T if solver == "hierarchical-rl" else single_cluster_plan)(spec.G1, spec.G2)
     last_error: Exception | None = None
     for attempt in range(4):
         depth = 1.0 * 1.5**attempt
@@ -238,50 +241,22 @@ def _run_hierarchical(config, spec, model, x0):
             initial_gains=gains,
         )
         try:
-            K, stats = rl.hierarchical_solve(spec, plan, plant, rl_config)
+            K, stats = rl.hierarchical_solve(spec, plan, plant, rl_config, deadline)
         except ClusterFailure as exc:
             if isinstance(exc.cause, K0NotStabilizing):
                 last_error = exc
                 continue
+            if isinstance(exc.cause, BudgetExceeded):
+                wall = 1e3 * (time.perf_counter() - t0)
+                return plan, SolverResult(solver, "timeout", wall,
+                                          detail={"reason": str(exc.cause)})
             raise
         wall = 1e3 * (time.perf_counter() - t0)
         J = evaluate_cost(model.A - model.B @ K, spec.Q + K.T @ spec.R @ K, x0)
         detail = rl.result_to_json(K, stats, wall)
         detail.pop("K")
-        return K, plan, SolverResult("hierarchical-rl", "ok", wall, J=J, K=K, detail=detail)
+        return plan, SolverResult(solver, "ok", wall, J=J, K=K, detail=detail)
     raise last_error
-
-
-def _run_global_rl(config, spec, model, x0):
-    plant = AgentModel(model.A, model.B)
-    nN, mN = spec.n * spec.N, spec.m * spec.N
-    A_nom, B_nom = _point_mass_agent(1.0, 1.0)
-    t0 = time.perf_counter()
-    k_agent = derive_initial_gain(A_nom, B_nom, seed=config.seed)
-    K0 = matkit.kron(np.eye(spec.N), k_agent)
-    problem = ClusterProblem(
-        state_dim=nN,
-        input_dim=mN,
-        Qblock=spec.Q,
-        Rblock=spec.R,
-        initial_gain=K0,
-        excitation=ExcitationConfig(seed=config.seed),
-        window_count=WINDOW_FACTOR * unknown_count(nN, mN),
-    )
-    deadline = time.monotonic() + config.timeout_s
-    try:
-        batch = rl.collect_batch(plant, problem, x0, deadline=deadline)
-        K, _, history = rl.offpolicy_pi(batch, problem, plant=plant, deadline=deadline)
-    except BudgetExceeded as exc:
-        wall = 1e3 * (time.perf_counter() - t0)
-        return None, SolverResult(
-            "global-rl", "timeout", wall, detail={"reason": str(exc)}
-        )
-    wall = 1e3 * (time.perf_counter() - t0)
-    J = evaluate_cost(model.A - model.B @ K, spec.Q + K.T @ spec.R @ K, x0)
-    return K, SolverResult(
-        "global-rl", "ok", wall, J=J, K=K, detail={"iters": len(history)}
-    )
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
@@ -301,9 +276,9 @@ def run_bench(config: BenchConfig) -> BenchReport:
             if solver == "model-based":
                 K_opt, row = _run_model_based(spec, model, x0)
             elif solver == "hierarchical-rl":
-                _, plan, row = _run_hierarchical(config, spec, model, x0)
+                plan, row = _run_model_free(config, spec, model, x0, solver)
             else:
-                _, row = _run_global_rl(config, spec, model, x0)
+                _, row = _run_model_free(config, spec, model, x0, solver)
         except (PreconditionFailed, SolverFailure) as exc:
             row = SolverResult(solver, f"error:{type(exc).__name__}", 0.0,
                                detail={"message": str(exc)})

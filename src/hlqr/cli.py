@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, decomp, matkit, rl, robust
-from .errors import PreconditionFailed, SolverFailure
+from .errors import ClusterFailure, PreconditionFailed, SolverFailure
 from .lqr import AgentModel, hierarchical_model_based
 
 
@@ -168,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code_for(exc: Exception) -> int:
+    if isinstance(exc, ClusterFailure):  # classed by its cluster's failure
+        exc = exc.cause
     if isinstance(exc, PreconditionFailed):
         return 2
     if isinstance(exc, SolverFailure):

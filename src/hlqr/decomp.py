@@ -149,11 +149,14 @@ class DecompositionPlan:
     cluster_sizes: tuple[int, ...]
     phi_blocks: list[np.ndarray]
     psi_blocks: list[np.ndarray]
-    decomposable: bool = True
 
     @property
     def r(self) -> int:
         return len(self.cluster_sizes)
+
+    @property
+    def decomposable(self) -> bool:
+        return self.r > 1
 
     def offsets(self) -> list[int]:
         out, acc = [], 0
@@ -273,14 +276,14 @@ def _extract_blocks(M: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     return blocks
 
 
-def _trivial_plan(G1: np.ndarray, G2: np.ndarray) -> DecompositionPlan:
+def single_cluster_plan(G1: np.ndarray, G2: np.ndarray) -> DecompositionPlan:
+    """The undecomposed problem as a plan: T = I and one cluster (r = 1)."""
     N = G1.shape[0]
     return DecompositionPlan(
         T=np.eye(N),
         cluster_sizes=(N,),
         phi_blocks=[matkit.symmetrize(G1).copy()],
         psi_blocks=[matkit.symmetrize(G2).copy()],
-        decomposable=False,
     )
 
 
@@ -296,8 +299,8 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     commuting pair falls back to a common eigenbasis (complete
     decomposition); a non-commuting pair is unsupported. If no split
     with r > 1 exists, or the split misses the tolerances of
-    :func:`verify_plan` that :func:`project_problem` enforces, the trivial
-    single-cluster plan is returned with ``decomposable=False``.
+    :func:`verify_plan` that :func:`project_problem` enforces,
+    :func:`single_cluster_plan` is returned (``decomposable`` is False).
     """
     if not 0.0 < tol < np.inf:
         raise PreconditionFailed(f"tol must be finite and positive, got {tol!r}")
@@ -332,10 +335,10 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
         gram = F1 @ F2.T
         paired = _paired_groups(gram, PAIRING_SCALE * N)
         if paired is None:
-            return _trivial_plan(G1, G2)
+            return single_cluster_plan(G1, G2)
         p_groups, q_groups = paired
         if len(p_groups) == 1:
-            return _trivial_plan(G1, G2)
+            return single_cluster_plan(G1, G2)
         perm1 = [i for g in p_groups for i in g]
         perm2 = [j for g in q_groups for j in g]
         E1, E2 = F1[perm1], F2[perm2]
@@ -347,12 +350,11 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
         cluster_sizes=sizes,
         phi_blocks=_extract_blocks(T @ G1 @ T.T, sizes),
         psi_blocks=_extract_blocks(T @ G2 @ T.T, sizes),
-        decomposable=len(sizes) > 1,
     )
     # links below the pairing threshold are dropped, so nearly aligned
     # eigenbases can yield blocks that leave too much weight off-diagonal
     if not verify_plan(plan, G1, G2).passed:
-        return _trivial_plan(G1, G2)
+        return single_cluster_plan(G1, G2)
     return plan
 
 
@@ -441,7 +443,6 @@ def plan_from_json(obj: dict) -> DecompositionPlan:
         cluster_sizes=tuple(int(s) for s in obj["clusterSizes"]),
         phi_blocks=[matkit.matrix_from_json(b) for b in obj["phi"]],
         psi_blocks=[matkit.matrix_from_json(b) for b in obj["psi"]],
-        decomposable=bool(obj["decomposable"]),
     )
 
 

@@ -655,8 +655,7 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     return results
 
 
-def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant,
-                 deadline: float | None = None):
+def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant):
     """Off-policy integral policy iteration on a recorded batch.
 
     With current gain K, the unknowns (P, K+) are the least-squares
@@ -679,7 +678,7 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant,
     ``hierarchical_solve`` runs over each shape class, so a cluster learns
     the same gain, in as many iterations, alone or in its class.
     """
-    result = _lockstep_pi([batch], [cluster], [plant], deadline)[0]
+    result = _lockstep_pi([batch], [cluster], [plant])[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -714,7 +713,8 @@ class ClusterStats:
 
 
 def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
-                       config: HierarchicalConfig | None = None):
+                       config: HierarchicalConfig | None = None,
+                       deadline: float | None = None):
     """Run the full hierarchical model-free pipeline.
 
     Projects the problem onto the plan's clusters, then works in phases.
@@ -748,7 +748,9 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     of every lower-index cluster, as a one-at-a-time solve would; a failed
     shared probe or batch is tagged with the first cluster of its group.
     The time of a class's policy iteration is split evenly over the
-    ``wall_ms`` of the clusters in it.
+    ``wall_ms`` of the clusters in it. A ``deadline`` (a ``time.monotonic``
+    value) bounds every collection and policy iteration; a cluster it
+    stops fails with ``BudgetExceeded``.
 
     Returns (K, stats) with per-cluster iteration/residual/wall-time stats.
     """
@@ -805,7 +807,7 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
                 nc = problems[leads[0]].state_dim
                 batches.update(zip(passed, collect_batch(
                     [plants[i] for i in passed], [problems[i] for i in passed],
-                    np.full((len(passed), nc), 1.0 / np.sqrt(nc)))))
+                    np.full((len(passed), nc), 1.0 / np.sqrt(nc)), deadline=deadline)))
         except Exception as exc:  # noqa: BLE001 - a whole-class failure
             batches.update((i, exc) for i in leads if i not in batches)
         share = (time.perf_counter() - t0) / len(leads)
@@ -817,7 +819,7 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
             t0 = time.perf_counter()
             outcome.update(zip(ready, _lockstep_pi(
                 [batches[batch_of[i]] for i in ready], [problems[i] for i in ready],
-                [plants[i] for i in ready])))
+                [plants[i] for i in ready], deadline)))
             share = (time.perf_counter() - t0) / len(ready)
             for i in ready:
                 wall[i] += share

@@ -127,7 +127,7 @@ class HeteroLift(NamedTuple):
     b_hat = T_n' B T_m, the heterogeneity mismatches a_tilde = A - a_hat
     and b_tilde = B - b_hat (both vanish for identical agents), the
     Riccati solution (p_hat, k) of the transformed pair and its closed
-    loop a_cl = a_hat - b_hat k, confirmed Hurwitz."""
+    loop a_cl = a_hat - b_hat k, which ``solve_are`` found Hurwitz."""
 
     a_hat: np.ndarray
     b_hat: np.ndarray
@@ -142,8 +142,8 @@ def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> H
     """Solve the transformed design problem for a heterogeneous plant with
     the spec's weights. Requires Q positive definite and the pair
     controllable (``solve_are`` tests the transformed pair, orthogonally
-    similar to the plant's); raises ``NotHurwitz`` if the transformed
-    closed loop is not Hurwitz.
+    similar to the plant's, and returns only a gain whose closed loop
+    a_hat - b_hat k is Hurwitz).
     """
     if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(spec.G1)))) <= 0:
         raise PreconditionFailed("Q must be positive definite (G1 must be PD)")
@@ -152,8 +152,6 @@ def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> H
     b_hat = Tn.T @ model.B @ Tm
     p_hat, k = matkit.solve_are(a_hat, b_hat, spec.Q, spec.R)
     a_cl = a_hat - b_hat @ k
-    if matkit.spectral_abscissa(a_cl) >= 0:
-        raise NotHurwitz("transformed closed loop is not Hurwitz")
     return HeteroLift(a_hat, b_hat, model.A - a_hat, model.B - b_hat, a_cl, p_hat, k)
 
 
@@ -281,9 +279,8 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
 
 def h2_norm(sys: LtiSystem) -> float:
     """H2 norm sqrt(trace(C X C')) with the controllability gramian
-    A X + X A' + B B' = 0; requires A Hurwitz."""
-    if matkit.spectral_abscissa(sys.A) >= 0:
-        raise NotHurwitz("A must be Hurwitz")
+    A X + X A' + B B' = 0; requires A Hurwitz (``matkit.solve_lyapunov``
+    raises ``NotHurwitz`` otherwise)."""
     X = matkit.solve_lyapunov(sys.A.T, sys.B @ sys.B.T)
     return float(np.sqrt(max(float(np.trace(sys.C @ X @ sys.C.T)), 0.0)))
 
@@ -295,12 +292,10 @@ def small_gain_check(model: HeteroModel, lift: HeteroLift):
     mismatch output (At - Bt K), rhs the inverse norm of the nominal
     closed-loop sensitivity K (sI - Ahat_cl)^-1, both at the lift's gain
     K. Stability is certified when lhs < rhs. Requires the open-loop
-    plant Hurwitz; a non-Hurwitz open loop makes the test inapplicable,
-    not unstable.
+    plant Hurwitz (the first ``hinf_norm`` raises ``NotHurwitz``); a
+    non-Hurwitz open loop makes the test inapplicable, not unstable.
     """
     A, B, K = model.A, model.B, lift.k
-    if matkit.spectral_abscissa(A) >= 0:
-        raise NotHurwitz("open-loop plant must be Hurwitz for the small-gain test")
     lhs = hinf_norm(LtiSystem(A, B, lift.a_tilde - lift.b_tilde @ K))
     gd = hinf_norm(LtiSystem(lift.a_cl, np.eye(lift.a_cl.shape[0]), -K))
     rhs = np.inf if gd == 0.0 else 1.0 / gd
@@ -343,13 +338,11 @@ def performance_bound(model: HeteroModel, lift: HeteroLift, spec: LqrSpec,
     norms, via ||G_ey W G_sigma G_du||_2 <= ||G_ey W||_inf
     ||G_sigma||_2 ||G_du||_inf, and the G_free term accounts for the
     plant subsystem starting at x0 rather than at rest (both vanish for
-    a homogeneous plant). Raises ``NotHurwitz`` if the open-loop plant
-    is not Hurwitz.
+    a homogeneous plant). The first ``h2_norm``, on the open-loop plant,
+    raises ``NotHurwitz`` if that plant is not Hurwitz.
     """
     K, a_hat = lift.k, lift.a_cl
     x0 = np.asarray(x0, dtype=float).ravel()
-    if matkit.spectral_abscissa(model.A) >= 0:
-        raise NotHurwitz("open-loop plant must be Hurwitz for the mismatch H2 norms")
     Q, R = spec.Q, spec.R
     Cy = np.vstack([matkit.sqrtm_psd(Q), -matkit.sqrtm_psd(R) @ K])
     x0col = x0.reshape(-1, 1)

@@ -5,7 +5,10 @@ import pytest
 
 from hlqr import bench, matkit
 from hlqr.bench import BenchConfig, build_example, derive_initial_gain, gen_graph, run_bench
+from hlqr.decomp import ExcitationConfig, single_cluster_plan
 from hlqr.errors import PreconditionFailed
+from hlqr.lqr import AgentModel
+from hlqr.rl import HierarchicalConfig, hierarchical_solve
 
 
 class TestGenGraph:
@@ -107,6 +110,20 @@ class TestRunBench:
         n = 4
         cubed = sum((n * s) ** 3 for s in plan.cluster_sizes)
         assert cubed < (n * 6) ** 3
+
+    def test_global_row_is_one_cluster_hierarchical_solve(self):
+        config = BenchConfig(N=2, seed=3, solvers=("global-rl",))
+        row = run_bench(config).rows[0]
+        spec, model, _ = build_example(config)
+        plan = single_cluster_plan(spec.G1, spec.G2)
+        agent = AgentModel(model.A_blocks[0], model.B_blocks[0])  # the nominal agent
+        k_agent = derive_initial_gain(agent.A, agent.B, seed=config.seed)
+        K, _ = hierarchical_solve(
+            spec, plan, agent, HierarchicalConfig(ExcitationConfig(seed=config.seed),
+                                                  [matkit.kron(np.eye(spec.N), k_agent)]))
+        assert row.status == "ok"
+        np.testing.assert_array_equal(row.K, K)
+        assert [c["size"] for c in row.detail["perCluster"]] == [spec.N]
 
     def test_timeout_reported(self):
         config = BenchConfig(N=30, seed=5, solvers=("global-rl",), timeout_s=0.5)

@@ -6,6 +6,12 @@ map; nothing else in the module, the decay probe included, may read them.
 Cluster plants are sliced from a model by ``hlqr.lqr.cluster_plants``,
 which ``hlqr.rl`` imports and binds as ``rl.cluster_plants``.
 
+One model-free pipeline: inside ``src/hlqr`` only ``hlqr.rl`` calls
+``collect_batch`` and ``_lockstep_pi``, and only ``hlqr.decomp`` constructs
+a ``ClusterProblem`` (in ``project_problem``). Every other model-free solve,
+the benchmark's global baseline included, goes through
+``rl.hierarchical_solve``.
+
 The public API: every name in ``hlqr.__all__`` resolves, and every function
 the benchmark's tracer wraps by name (``TRACED`` in ``perfbench/spans.py``)
 still exists in its module."""
@@ -19,6 +25,8 @@ import hlqr.lqr
 import hlqr.rl
 
 ALLOWED = {"_closed_loop"}
+# pipeline stage -> the modules of src/hlqr that may call it
+PIPELINE_OWNERS = {"collect_batch": {"rl"}, "_lockstep_pi": {"rl"}, "ClusterProblem": {"decomp"}}
 
 
 def test_plant_matrices_read_only_by_map_builder():
@@ -32,6 +40,22 @@ def test_plant_matrices_read_only_by_map_builder():
     ]
     assert [(owner, line) for owner, line in reads if owner not in ALLOWED] == []
     assert {owner for owner, _ in reads} == ALLOWED  # the walk finds the allowed reads
+
+
+def test_one_model_free_pipeline():
+    calls = {
+        (path.stem, name)
+        for path in Path(hlqr.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+        in PIPELINE_OWNERS
+    }
+    assert {(module, name) for module, name in calls
+            if module not in PIPELINE_OWNERS[name]} == set()
+    # the walk finds the owners' own calls
+    assert calls == {(module, name) for name, owners in PIPELINE_OWNERS.items()
+                     for module in owners}
 
 
 def test_public_and_traced_names_exist():

@@ -11,7 +11,10 @@ import hlqr
 from hlqr import cli, matkit
 from hlqr.bench import build_example, BenchConfig
 from hlqr.errors import (
+    ClusterFailure,
     ExcitationDeficient,
+    K0NotStabilizing,
+    NonFinite,
     PreconditionFailed,
     RegressionSingular,
     SolverDiverged,
@@ -238,25 +241,40 @@ def test_bad_input_exits_2_naming_it(toy_files, capsys, case, named):
     assert err.startswith("error: ") and named in err
 
 
+def _solve_agent_pair(tmp, A, B, mode):
+    """Exit code of ``hlqr solve --mode mode`` for two agents (A, B) with
+    G1 = [[2, -1], [-1, 2]], G2 = I, Q0 = I and R0 = I, after decomposing."""
+    G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    n, m = np.shape(B)
+    spec_obj = {"N": 2, "n": n, "m": m, "G1": matkit.matrix_to_json(G1),
+                "G2": matkit.matrix_to_json(np.eye(2)), "Q0": matkit.matrix_to_json(np.eye(n)),
+                "R0": matkit.matrix_to_json(np.eye(m)), "A": matkit.matrix_to_json(A),
+                "B": matkit.matrix_to_json(B)}
+    (tmp / "spec.json").write_text(json.dumps(spec_obj))
+    matkit.save_matrix_csv(G1, tmp / "g1.csv")
+    matkit.save_matrix_csv(np.eye(2), tmp / "g2.csv")
+    assert cli.main(["decompose", "--g1", str(tmp / "g1.csv"), "--g2",
+                     str(tmp / "g2.csv"), "--out", str(tmp / "plan.json")]) == 0
+    return cli.main(["solve", "--spec", str(tmp / "spec.json"), "--plan",
+                     str(tmp / "plan.json"), "--mode", mode, "--out", str(tmp / "gain.json")])
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_plant_exits_3(tmp_path, capsys):
     # ||A||_F^2 overflows the Riccati residual bound's scale: a solver
     # failure before the doubling starts, with no numpy overflow warning
-    G1 = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    one = matkit.matrix_to_json(np.eye(1))
-    spec_obj = {"N": 2, "n": 1, "m": 1, "G1": matkit.matrix_to_json(G1),
-                "G2": matkit.matrix_to_json(np.eye(2)), "Q0": one, "R0": one,
-                "A": matkit.matrix_to_json([[1e200]]), "B": one}
-    (tmp_path / "spec.json").write_text(json.dumps(spec_obj))
-    matkit.save_matrix_csv(G1, tmp_path / "g1.csv")
-    matkit.save_matrix_csv(np.eye(2), tmp_path / "g2.csv")
-    assert cli.main(["decompose", "--g1", str(tmp_path / "g1.csv"), "--g2",
-                     str(tmp_path / "g2.csv"), "--out", str(tmp_path / "plan.json")]) == 0
-    capsys.readouterr()
-    assert cli.main(["solve", "--spec", str(tmp_path / "spec.json"), "--plan",
-                     str(tmp_path / "plan.json"), "--mode", "model-based",
-                     "--out", str(tmp_path / "gain.json")]) == 3
+    assert _solve_agent_pair(tmp_path, [[1e200]], [[1.0]], "model-based") == 3
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, named", [("model-based", "not controllable"),
+                                         ("model-free", "K0NotStabilizing")])
+def test_uncontrollable_plant_exits_2(tmp_path, capsys, mode, named):
+    # the agent's unstable mode x2' = x2 takes no input: a precondition
+    # failure in both modes, inside a ClusterFailure in the model-free one
+    assert _solve_agent_pair(tmp_path, np.diag([-1.0, 1.0]), [[1.0], [0.0]], mode) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "gain.json").exists()
 
 
 def test_exit_code_mapping():
@@ -265,6 +283,8 @@ def test_exit_code_mapping():
     assert cli.exit_code_for(SolverDiverged("x")) == 3
     assert cli.exit_code_for(RegressionSingular("x")) == 3
     assert cli.exit_code_for(ValueError("x")) == 1
+    assert cli.exit_code_for(ClusterFailure(0, K0NotStabilizing("x"))) == 2
+    assert cli.exit_code_for(ClusterFailure(1, NonFinite("x"))) == 3
 
 
 def test_cli_import_skips_scipy():

@@ -681,12 +681,6 @@ class TestOffPolicyPi:
             assert np.linalg.norm(P - P_ref) <= 1e-4 * np.linalg.norm(P_ref)
             assert np.linalg.norm(K - K_ref) <= 1e-4 * np.linalg.norm(K_ref)
 
-    def test_passed_deadline_refused(self):
-        problem = scalar_cluster()
-        batch = collect_batch(SCALAR_PLANT, problem, [1.0])
-        with pytest.raises(BudgetExceeded, match="during iteration 0"):
-            offpolicy_pi(batch, problem, plant=SCALAR_PLANT, deadline=time.monotonic() - 1.0)
-
     def test_batch_without_rank_flag_rejected(self):
         problem = scalar_cluster()
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
@@ -764,6 +758,21 @@ class TestHierarchicalSolve:
         assert np.linalg.norm(K - target) <= 1e-3
         assert len(stats) == plan.r
         assert all(s.iters >= 1 for s in stats)
+
+    def test_deadline_passed_after_collection_refused(self, monkeypatch):
+        # a clock that advances 1 ms per read: the shared 4-window collection
+        # reads it 5 times (its start and once per window), all before the
+        # deadline, and the first policy iteration reads it past the deadline
+        ticks = itertools.count()
+        monkeypatch.setattr(rl.time, "monotonic", lambda: 1e-3 * next(ticks))
+        spec = two_agent_spec()
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(initial_gains=[np.array([[1.5]])] * plan.r)
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, SCALAR_PLANT, config, deadline=4.5e-3)
+        assert info.value.cluster_index == 0 and info.value.partial_stats == []
+        assert isinstance(info.value.cause, BudgetExceeded)
+        assert "during iteration 0" in str(info.value.cause)
 
     def test_trivial_plan_equals_global_learning(self):
         # r = 1 reduces the hierarchy to one global off-policy solve
