@@ -178,31 +178,33 @@ def numerical_rank(M) -> int:
 def ctrb_rank(A, B) -> int:
     """Numerical rank of the Krylov stack [B, AB, A^2 B, ...].
 
-    A is scaled to unit spectral norm first (block scalings do not change
-    the stack's column space) so high powers neither overflow nor swamp
-    the rank threshold, and the stack is extended only until its rank
-    stalls, which by the Krylov subspace property is already final.
+    B is ranked alone first; only if its rank is below n is A scaled to
+    unit spectral norm (a scaling of A or of the whole stack changes
+    neither its column space nor the relative rank threshold) so high
+    powers neither overflow nor swamp the threshold. The stack is
+    extended only until its rank stalls, which by the Krylov subspace
+    property is already final.
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
     if B.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"A is {A.shape}, B is {B.shape}")
     n = A.shape[0]
+    block = stack = B
+    rank = numerical_rank(stack)
+    if rank >= n:
+        return rank
     scale = float(np.linalg.norm(A, 2))
     As = A / scale if scale > 0 else A
-    bnorm = float(np.linalg.norm(B, 2))
-    block = B / bnorm if bnorm > 0 else B
-    stack = block
-    rank = numerical_rank(stack)
     for _ in range(n - 1):
-        if rank >= n:
-            break
         block = As @ block
         stack = np.hstack([stack, block])
         new_rank = numerical_rank(stack)
         if new_rank == rank:
             break
         rank = new_rank
+        if rank >= n:
+            break
     return rank
 
 
@@ -211,18 +213,25 @@ def obsv_rank(C, A) -> int:
     return ctrb_rank(as_matrix(A, "A").T, as_matrix(C, "C").T)
 
 
+def _psd_floor(values: np.ndarray) -> float:
+    """Magnitude below which an eigenvalue of a PSD matrix counts as zero:
+    DEFAULT_TOL times the largest |eigenvalue| (ascending ``values``).
+    Raises ``PreconditionFailed`` when the smallest is below minus that."""
+    floor = DEFAULT_TOL * max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+    if values[0] < -floor:
+        raise PreconditionFailed(f"matrix is not PSD (min eig {values[0]:.3e})")
+    return floor
+
+
 def sqrtm_psd(M) -> np.ndarray:
     """Symmetric PSD square root.
 
-    Eigenvalues below DEFAULT_TOL*scale in magnitude count as zero (taking
-    the square root of round-off noise would otherwise promote it across
-    rank thresholds); eigenvalues below -DEFAULT_TOL*scale are rejected.
+    Eigenvalues below ``_psd_floor`` count as zero (taking the square root
+    of round-off noise would otherwise promote it across rank thresholds);
+    eigenvalues below minus that floor are rejected.
     """
     e = sym_eig(M)
-    scale = max(float(np.max(np.abs(e.values))), np.finfo(float).tiny)
-    if e.values[0] < -DEFAULT_TOL * scale:
-        raise PreconditionFailed(f"matrix is not PSD (min eig {e.values[0]:.3e})")
-    vals = np.where(e.values < DEFAULT_TOL * scale, 0.0, e.values)
+    vals = np.where(e.values < _psd_floor(e.values), 0.0, e.values)
     return symmetrize((e.vectors * np.sqrt(vals)) @ e.vectors.T)
 
 
@@ -249,12 +258,14 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     396, 2005), with a summary of the run for error messages.
 
     The Cayley transform with gamma = 1 + ||A||_1 > rho(A) (so A - gamma I
-    is nonsingular) gives A_0, G_0, H_0; each doubling is one solve with a
-    stacked right-hand side and squares the transformed spectrum, so H_k
-    converges quadratically to P. It stops when max|dH| <= SDA_RTOL *
-    max|H|; a singular solve, a non-finite or zero iterate, or
-    SDA_MAX_DOUBLINGS doublings without convergence raises
-    ``SolverDiverged``.
+    is nonsingular) gives A_0, G_0, H_0; each doubling inverts
+    S_k = I + G_k H_k once, multiplies the inverse into A_k and G_k (an
+    inverse and two products take less time than one solve against the 2n
+    columns of [A_k G_k], whose triangular stage is slow per flop), and
+    squares the transformed spectrum, so H_k converges quadratically to P.
+    It stops when max|dH| <= SDA_RTOL * max|H|; a singular S_k, a
+    non-finite or zero iterate, or SDA_MAX_DOUBLINGS doublings without
+    convergence raises ``SolverDiverged``.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -278,10 +289,11 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
             Hk = 2.0 * gamma * (W_inv @ (Q @ Ag_inv))
             while doublings < SDA_MAX_DOUBLINGS:
                 doublings += 1
-                X = np.linalg.solve(eye + Gk @ Hk, np.concatenate((Ak, Gk), axis=1))
-                dH = Ak.T @ (Hk @ X[:, :n])
-                Gk = Gk + Ak @ X[:, n:] @ Ak.T
-                Ak = Ak @ X[:, :n]
+                S_inv = np.linalg.inv(eye + Gk @ Hk)
+                X = S_inv @ Ak
+                dH = Ak.T @ (Hk @ X)
+                Gk = Gk + Ak @ (S_inv @ Gk) @ Ak.T
+                Ak = Ak @ X
                 Hk = Hk + dH
                 dmax, hmax = abs(dH).max(), abs(Hk).max()
                 if not (0.0 < hmax < np.inf and dmax < np.inf):
@@ -307,7 +319,14 @@ def solve_are(A, B, Q, R):
     steps of ``kleinman_steps`` polish it. A non-stabilizing gain, a bound
     still missed after those steps, or a numerical breakdown raises
     ``SolverDiverged`` naming the phase, gamma, the doublings taken and the
-    last relative step."""
+    last relative step.
+
+    The preconditions are checked in order: R symmetric positive definite,
+    (A, B) controllable (``ctrb_rank``), then Q symmetric (else
+    ``NotSymmetric``) and PSD, and (Q^1/2, A) observable. When Q is
+    positive definite beyond the ``sqrtm_psd`` floor, Q^1/2 has full rank
+    and the pair is observable, so its spectrum alone decides; only a
+    singular PSD Q builds Q^1/2 and ranks the observability stack."""
     A = require_square(A, "A")
     B = as_matrix(B, "B")
     Q = require_square(Q, "Q")
@@ -319,8 +338,12 @@ def solve_are(A, B, Q, R):
         raise PreconditionFailed("R must be symmetric positive definite")
     if ctrb_rank(A, B) < n:
         raise PreconditionFailed("(A, B) is not controllable")
-    C = sqrtm_psd(Q)
-    if obsv_rank(C, A) < n:
+    if not is_symmetric(Q):
+        raise NotSymmetric(f"Q: asymmetry exceeds {DEFAULT_TOL:g} * ||Q||_F")
+    q_eigs = np.linalg.eigvalsh(symmetrize(Q))
+    # Q^1/2 keeps exactly the eigenvalues at or above the floor, each with a
+    # singular value >= 1e-4 relative, so if none is dropped it has rank n
+    if q_eigs[0] < _psd_floor(q_eigs) and obsv_rank(sqrtm_psd(Q), A) < n:
         raise PreconditionFailed("(Q^1/2, A) is not observable")
 
     with np.errstate(over="ignore"):  # an overflowing ||A||_F is refused below

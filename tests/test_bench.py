@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hlqr import bench, matkit
+from hlqr import bench, matkit, rl
 from hlqr.bench import BenchConfig, build_example, derive_initial_gain, gen_graph, run_bench
 from hlqr.decomp import ExcitationConfig, single_cluster_plan
 from hlqr.errors import PreconditionFailed
@@ -125,8 +125,25 @@ class TestRunBench:
         np.testing.assert_array_equal(row.K, K)
         assert [c["size"] for c in row.detail["perCluster"]] == [spec.N]
 
-    def test_timeout_reported(self):
+    @staticmethod
+    def patch_memory(monkeypatch, nbytes):
+        pages = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(rl.os, "sysconf", lambda name: pages[name])
+
+    def test_timeout_reported(self, monkeypatch):
+        # ample memory, so the refusal comes from the deadline projection
+        self.patch_memory(monkeypatch, 1 << 50)
         config = BenchConfig(N=30, seed=5, solvers=("global-rl",), timeout_s=0.5)
         report = run_bench(config)
         assert report.rows[0].status == "timeout"
         assert report.rows[0].J is None
+        assert report.rows[0].detail["reason"].startswith("projected completion")
+
+    def test_memory_refusal_reported(self, monkeypatch):
+        # the N=30 global regression needs ~11.7 GB; a 1 GiB host refuses it
+        self.patch_memory(monkeypatch, 1 << 30)
+        config = BenchConfig(N=30, seed=5, solvers=("global-rl",), timeout_s=60.0)
+        row = run_bench(config).rows[0]
+        assert row.status == "timeout"
+        assert row.J is None
+        assert "exceeds physical memory" in row.detail["reason"]

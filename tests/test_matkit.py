@@ -320,6 +320,49 @@ class TestSolveAre:
         with pytest.raises(SolverDiverged, match="doubling breakdown: Singular matrix"):
             matkit.solve_are([[0.0]], [[1.0]], [[1.0]], [[1.0]])
 
+    def test_singular_doubling_names_gamma_and_doublings(self, monkeypatch):
+        # two setup inverses, then one per doubling: fail the second doubling's
+        inv, calls = np.linalg.inv, []
+
+        def singular_at_fourth(M):
+            calls.append(M)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(M)
+
+        monkeypatch.setattr(matkit.np.linalg, "inv", singular_at_fourth)
+        A, B = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
+        with pytest.raises(SolverDiverged) as info:
+            matkit.solve_are(A, B, np.eye(2), np.eye(1))
+        assert re.fullmatch(r"Riccati doubling breakdown: Singular matrix "
+                            r"\(gamma 2, 2 doublings, last relative step \S+\)",
+                            str(info.value))
+
+    def test_rejects_asymmetric_q(self):
+        A, B = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
+        with pytest.raises(NotSymmetric):
+            matkit.solve_are(A, B, [[1.0, 1.0], [0.0, 1.0]], [[1.0]])
+
+    def test_rejects_indefinite_q(self):
+        A, B = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
+        with pytest.raises(PreconditionFailed, match="not PSD") as info:
+            matkit.solve_are(A, B, np.diag([1.0, -1.0]), [[1.0]])
+        assert not isinstance(info.value, NotSymmetric)
+
+    def test_singular_q_unobservable_pair_rejected(self):
+        # Q sees only the first of two decoupled modes
+        A, B = np.diag([-1.0, -2.0]), [[1.0], [1.0]]
+        with pytest.raises(PreconditionFailed, match="not observable"):
+            matkit.solve_are(A, B, np.diag([1.0, 0.0]), [[1.0]])
+
+    def test_singular_q_observable_pair_solves(self):
+        # Q = C'C with C = [1, 0]: position cost on the double integrator
+        A, B = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+        Q, R = np.diag([1.0, 0.0]), np.eye(1)
+        P, K = matkit.solve_are(A, B, Q, R)
+        assert matkit.spectral_abscissa(A - B @ K) < 0
+        assert_matches_scipy(P, A, B, Q, R)
+
     @pytest.mark.parametrize("phase", ["breakdown", "cap", "newton"])
     def test_divergence_names_phase_gamma_doublings_step(self, phase, monkeypatch):
         if phase == "breakdown":
@@ -384,6 +427,34 @@ class TestRankHelpers:
             B = rng.standard_normal((n, m))
             stack = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
             assert matkit.ctrb_rank(A, B) == matkit.numerical_rank(stack)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_ranks_match_dense_stack_at_any_input_scale(self, rng, scale):
+        # generic draws, and draws whose last state neither B nor A reaches
+        for trial in range(20):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, 3))
+            A = rng.standard_normal((n, n))
+            B = scale * rng.standard_normal((n, m))
+            if trial % 2:
+                A[-1, :-1] = 0.0
+                B[-1] = 0.0
+            stack = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+            assert matkit.ctrb_rank(A, B) == matkit.numerical_rank(stack)
+            assert matkit.obsv_rank(B.T, A.T) == matkit.numerical_rank(stack)
+
+    def test_full_rank_b_decides_without_a(self, rng, monkeypatch):
+        A = rng.standard_normal((4, 4))
+        B = rng.standard_normal((4, 5))
+        stack = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(4)])
+        assert matkit.numerical_rank(stack) == 4
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("||A||_2 taken although B alone has rank n")
+
+        monkeypatch.setattr(matkit.np.linalg, "norm", no_norm)
+        assert matkit.ctrb_rank(A, B) == 4
+        assert matkit.obsv_rank(B.T, A.T) == 4
 
     def test_ctrb_rank_survives_large_systems(self):
         # powers of the raw stack overflow here; the scaled test must not
