@@ -15,16 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import matkit
-from .errors import (
-    DimensionMismatch,
-    NotOrthonormal,
-    NotSupported,
-    PreconditionFailed,
-)
+from .errors import DimensionMismatch, NotOrthonormal, PreconditionFailed
 
-# Inner products of unit eigenvectors above PAIRING_SCALE * N count as links
-# when matching the two eigenbases.
-PAIRING_SCALE = 1e-8
+# Weight of G2/||G2||_F against G1/||G1||_F in the combination whose
+# eigenbasis gives the rows of T. Irrational, so that distinct eigenvalue
+# pairs of structured (say integer) inputs do not collide in it.
+MIX = (np.sqrt(5.0) - 1.0) / 2.0
 # Each cluster problem records WINDOW_FACTOR windows per regression unknown.
 WINDOW_FACTOR = 2
 
@@ -214,60 +210,6 @@ def _sign_fix_rows(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _all_gaps_above(values: np.ndarray, threshold: float) -> bool:
-    if values.size < 2:
-        return True
-    return bool(np.min(np.diff(values)) > threshold)
-
-
-def _paired_groups(gram: np.ndarray, threshold: float):
-    """Transitively closed eigenvector matching from one N x N Gram matrix.
-
-    Row eigenvectors i1, i2 of the first matrix land in the same group iff
-    they are linked through some column j with both |gram[i1, j]| and
-    |gram[i2, j]| above threshold. Returns (p_groups, q_groups) ordered by
-    smallest row index, or None when any group is unbalanced.
-    """
-    N = gram.shape[0]
-    links = np.abs(gram) > threshold
-    zero = np.zeros_like(links)
-    count, labels = matkit.component_labels(np.block([[zero, links], [links.T, zero]]))
-    p_labels, q_labels = labels[:N], labels[N:]
-    if not np.array_equal(np.bincount(p_labels, minlength=count),
-                          np.bincount(q_labels, minlength=count)):
-        return None
-    # labels are numbered from the smallest node, so groups come ordered
-    # by their smallest row index
-    return ([np.flatnonzero(p_labels == c).tolist() for c in range(count)],
-            [np.flatnonzero(q_labels == c).tolist() for c in range(count)])
-
-
-def _common_eigenbasis_rows(G1, G2, e1: matkit.SymEig, tol: float) -> np.ndarray:
-    """Rows of T for a commuting pair: from the eigendecomposition ``e1``
-    of G1, diagonalize G2 restricted to each repeated-eigenvalue subspace
-    of G1."""
-    G2V = G2 @ e1.vectors
-    gap = tol * max(float(np.linalg.norm(G1)), 1e-300)
-    cols = []
-    start = 0
-    N = G1.shape[0]
-    while start < N:
-        stop = start + 1
-        while stop < N and e1.values[stop] - e1.values[stop - 1] <= gap:
-            stop += 1
-        V = e1.vectors[:, start:stop]
-        inner = matkit.symmetrize(V.T @ G2V[:, start:stop])
-        _, Z = np.linalg.eigh(inner)
-        cols.append(V @ Z)
-        start = stop
-    T = _sign_fix_rows(np.hstack(cols).T)
-    off = T @ G2 @ T.T
-    off = off - np.diag(np.diag(off))
-    if float(np.linalg.norm(off)) > max(tol * float(np.linalg.norm(G2)), 1e-12):
-        raise NotSupported("common eigenbasis construction failed to diagonalize G2")
-    return T
-
-
 def _extract_blocks(M: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     blocks, acc = [], 0
     for s in sizes:
@@ -289,18 +231,22 @@ def single_cluster_plan(G1: np.ndarray, G2: np.ndarray) -> DecompositionPlan:
 
 def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     """Construct the orthogonal transformation that simultaneously
-    block-diagonalizes G1 and G2 with the finest cluster structure.
+    block-diagonalizes G1 and G2.
 
-    When both matrices have distinct eigenvalues (gaps above
-    tol * ||G||_F), the two eigenbases are matched through their Gram
-    matrix: eigenvectors linked by a nonzero inner product share a
-    cluster, links are closed transitively, matched groups are permuted
-    to be contiguous, and T = E1 E2' E1. With repeated eigenvalues a
-    commuting pair falls back to a common eigenbasis (complete
-    decomposition); a non-commuting pair is unsupported. If no split
-    with r > 1 exists, or the split misses the tolerances of
-    :func:`verify_plan` that :func:`project_problem` enforces,
-    :func:`single_cluster_plan` is returned (``decomposable`` is False).
+    Follows Murota, Kanno, Kojima & Kojima, "A numerical algorithm for
+    block-diagonal decomposition of matrix *-algebras with application to
+    semidefinite programming", Japan J. Indust. Appl. Math. 27 (2010):
+    the rows of T are the eigenvectors of the generic combination
+    G1/||G1||_F + MIX * G2/||G2||_F. Eigenvectors i and j share a cluster
+    when |T G1 T'|_ij > tol * ||G1||_F or |T G2 T'|_ij > tol * ||G2||_F,
+    closed transitively; clusters are ordered by their first eigenvector
+    and made contiguous. Each cluster spans a common invariant subspace,
+    so the split is the finest one except where an irreducible block
+    appears with multiplicity (G1 = U diag(M, M) U', G2 = U diag(S, S) U'
+    with MS != SM gives one cluster of 4, not two of 2). If r = 1, or the
+    split misses the tolerances of :func:`verify_plan` that
+    :func:`project_problem` enforces, :func:`single_cluster_plan` is
+    returned (``decomposable`` is False).
     """
     if not 0.0 < tol < np.inf:
         raise PreconditionFailed(f"tol must be finite and positive, got {tol!r}")
@@ -311,48 +257,31 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     for name, M in (("G1", G1), ("G2", G2)):
         if not matkit.is_symmetric(M, tol):
             raise PreconditionFailed(f"{name} must be symmetric")
-    N = G1.shape[0]
-    e1 = matkit.sym_eig(G1, tol)
-    e2 = matkit.sym_eig(G2, tol)
-    if float(e1.values[0]) < -1e-10:
+    if float(np.linalg.eigvalsh(matkit.symmetrize(G1))[0]) < -1e-10:
         raise PreconditionFailed("G1 must be positive semidefinite")
-    if float(e2.values[0]) <= 0:
+    if float(np.linalg.eigvalsh(matkit.symmetrize(G2))[0]) <= 0:
         raise PreconditionFailed("G2 must be positive definite")
-    distinct = _all_gaps_above(e1.values, tol * float(np.linalg.norm(G1))) and _all_gaps_above(
-        e2.values, tol * float(np.linalg.norm(G2))
-    )
-
-    if not distinct:
-        if not check_commute(G1, G2, tol):
-            raise NotSupported(
-                "repeated eigenvalues with non-commuting G1, G2 are not supported"
-            )
-        T = _common_eigenbasis_rows(G1, G2, e1, tol)
-        sizes = (1,) * N
-    else:
-        F1 = _sign_fix_rows(e1.vectors.T)
-        F2 = _sign_fix_rows(e2.vectors.T)
-        gram = F1 @ F2.T
-        paired = _paired_groups(gram, PAIRING_SCALE * N)
-        if paired is None:
-            return single_cluster_plan(G1, G2)
-        p_groups, q_groups = paired
-        if len(p_groups) == 1:
-            return single_cluster_plan(G1, G2)
-        perm1 = [i for g in p_groups for i in g]
-        perm2 = [j for g in q_groups for j in g]
-        E1, E2 = F1[perm1], F2[perm2]
-        T = (E1 @ E2.T) @ E1
-        sizes = tuple(len(g) for g in p_groups)
-
+    norm1, norm2 = float(np.linalg.norm(G1)), float(np.linalg.norm(G2))
+    # G1 need only be PSD, so G1 = 0 leaves the combination to G2
+    G = (G1 / norm1 if norm1 > 0 else G1) + (MIX / norm2) * G2
+    F = _sign_fix_rows(np.linalg.eigh(matkit.symmetrize(G))[1].T)
+    M1, M2 = F @ G1 @ F.T, F @ G2 @ F.T
+    r, labels = matkit.component_labels(
+        (np.abs(M1) > tol * norm1) | (np.abs(M2) > tol * norm2))
+    if r == 1:
+        return single_cluster_plan(G1, G2)
+    # labels are numbered from each cluster's first row, so a stable sort
+    # keeps the clusters, and the rows within each, in eigenvalue order
+    perm = np.argsort(labels, kind="stable")
+    sizes = tuple(np.bincount(labels).tolist())
     plan = DecompositionPlan(
-        T=T,
+        T=F[perm],
         cluster_sizes=sizes,
-        phi_blocks=_extract_blocks(T @ G1 @ T.T, sizes),
-        psi_blocks=_extract_blocks(T @ G2 @ T.T, sizes),
+        phi_blocks=_extract_blocks(M1[np.ix_(perm, perm)], sizes),
+        psi_blocks=_extract_blocks(M2[np.ix_(perm, perm)], sizes),
     )
-    # links below the pairing threshold are dropped, so nearly aligned
-    # eigenbases can yield blocks that leave too much weight off-diagonal
+    # entries at or under the link threshold are dropped, and many of
+    # them can leave too much weight off the blocks
     if not verify_plan(plan, G1, G2).passed:
         return single_cluster_plan(G1, G2)
     return plan

@@ -26,10 +26,6 @@ class NotOrthonormal(PreconditionFailed):
     """Columns expected to be orthonormal are not, beyond tolerance."""
 
 
-class NotSupported(PreconditionFailed):
-    """Input falls outside the supported problem class."""
-
-
 class K0NotStabilizing(PreconditionFailed):
     """Supplied initial gain does not stabilize the plant."""
 

@@ -84,6 +84,18 @@ def test_decompose_solve_roundtrip(toy_files):
     assert np.linalg.norm(K_mf - K_mb) / np.linalg.norm(K_mb) <= 1e-2
 
 
+def test_decompose_splits_repeated_noncommuting_pair(tmp_path, capsys):
+    # G1 repeats an eigenvalue and does not commute with G2, yet both leave
+    # span{e2} and span{e1, e3} invariant
+    matkit.save_matrix_csv(np.diag([1.0, 1.0, 2.0]), tmp_path / "g1.csv")
+    matkit.save_matrix_csv([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]],
+                           tmp_path / "g2.csv")
+    capsys.readouterr()
+    assert cli.main(["decompose", "--g1", str(tmp_path / "g1.csv"), "--g2",
+                     str(tmp_path / "g2.csv"), "--out", str(tmp_path / "plan.json")]) == 0
+    assert capsys.readouterr().out.startswith("r=2 decomposable=True ")
+
+
 def _drop_agent_model(spec_obj):
     del spec_obj["A"], spec_obj["B"]
 
