@@ -173,8 +173,18 @@ class PlanCheck:
 
 
 def kron_lift(T, d: int) -> np.ndarray:
-    """Lift an N x N transform to act blockwise on stacked d-vectors."""
+    """The dense T (x) I_d: the reference tests check :func:`lift` against."""
     return matkit.kron(T, np.eye(d))
+
+
+def lift(T, d: int, X) -> np.ndarray:
+    """(T (x) I_d) X, for T of s x N (all or some rows of T) and X of N agent-major
+    blocks of d rows, by a reshape (Van Loan, J. Comput. Appl. Math. 123, 2000).
+    Both sides: (S (x) I_a) X (U (x) I_b)' = lift(S, a, lift(U, b, X').')."""
+    s, N = T.shape
+    if X.shape[0] != N * d:
+        raise DimensionMismatch(f"X has {X.shape[0]} rows, T (x) I_d has {N * d} columns")
+    return (T @ X.reshape(N, -1)).reshape((s * d,) + X.shape[1:])
 
 
 def check_commute(G1, G2, tol: float = 1e-8) -> bool:
@@ -274,15 +284,16 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     # keeps the clusters, and the rows within each, in eigenvalue order
     perm = np.argsort(labels, kind="stable")
     sizes = tuple(np.bincount(labels).tolist())
+    M1, M2 = M1[np.ix_(perm, perm)], M2[np.ix_(perm, perm)]
     plan = DecompositionPlan(
         T=F[perm],
         cluster_sizes=sizes,
-        phi_blocks=_extract_blocks(M1[np.ix_(perm, perm)], sizes),
-        psi_blocks=_extract_blocks(M2[np.ix_(perm, perm)], sizes),
+        phi_blocks=_extract_blocks(M1, sizes),
+        psi_blocks=_extract_blocks(M2, sizes),
     )
     # entries at or under the link threshold are dropped, and many of
     # them can leave too much weight off the blocks
-    if not verify_plan(plan, G1, G2).passed:
+    if not _plan_check(plan, M1, M2, norm1, norm2).passed:
         return single_cluster_plan(G1, G2)
     return plan
 
@@ -309,13 +320,22 @@ def verify_plan(plan: DecompositionPlan, G1, G2) -> PlanCheck:
     T = matkit.require_square(plan.T, "T")
     if T.shape != G1.shape or sum(plan.cluster_sizes) != T.shape[0]:
         raise DimensionMismatch("plan dimensions do not match G1/G2")
+    return _plan_check(plan, T @ G1 @ T.T, T @ G2 @ T.T,
+                       float(np.linalg.norm(G1)), float(np.linalg.norm(G2)))
+
+
+def _plan_check(plan: DecompositionPlan, M1: np.ndarray, M2: np.ndarray,
+                norm1: float, norm2: float) -> PlanCheck:
+    """:func:`verify_plan`'s residuals and pass rule from M1 = T G1 T' and
+    M2 = T G2 T' (both overwritten) and the Frobenius norms of G1 and G2."""
+    T = np.asarray(plan.T, dtype=float)
     orth = float(np.linalg.norm(T @ T.T - np.eye(T.shape[0])))
-    d1 = _off_block_norm(T @ G1 @ T.T, plan, plan.phi_blocks)
-    d2 = _off_block_norm(T @ G2 @ T.T, plan, plan.psi_blocks)
+    d1 = _off_block_norm(M1, plan, plan.phi_blocks)
+    d2 = _off_block_norm(M2, plan, plan.psi_blocks)
     passed = (
         orth <= matkit.ORTH_TOL
-        and d1 <= matkit.DEFAULT_TOL * float(np.linalg.norm(G1))
-        and d2 <= matkit.DEFAULT_TOL * float(np.linalg.norm(G2))
+        and d1 <= matkit.DEFAULT_TOL * norm1
+        and d2 <= matkit.DEFAULT_TOL * norm2
     )
     return PlanCheck(orth, d1, d2, passed)
 

@@ -10,7 +10,7 @@ from itertools import islice
 import numpy as np
 
 from . import matkit
-from .decomp import DecompositionPlan, LqrSpec, kron_lift, project_problem
+from .decomp import DecompositionPlan, LqrSpec, lift, project_problem
 from .errors import (
     DimensionMismatch,
     K0NotStabilizing,
@@ -74,7 +74,7 @@ def kleinman_pi(A, B, Q, R, K0):
 
 def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.ndarray:
     """Reassemble the global gain K = (T' (x) I_m) diag(k_1..k_r) (T (x) I_n)
-    from per-cluster gains k_i of size (m N_i) x (n N_i)."""
+    from per-cluster gains k_i of size (m N_i) x (n N_i) by ``decomp.lift``."""
     if len(cluster_gains) != plan.r:
         raise DimensionMismatch(f"expected {plan.r} cluster gains, got {len(cluster_gains)}")
     gains = []
@@ -86,19 +86,19 @@ def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.
             )
         gains.append(K)
     kappa = matkit.block_diag(*gains)
-    return kron_lift(plan.T, m).T @ kappa @ kron_lift(plan.T, n)
+    return lift(plan.T.T, m, lift(plan.T.T, n, kappa.T).T)
 
 
-def _embedded_cluster(f_global, Tn_rows: np.ndarray, Tm_rows: np.ndarray):
+def _embedded_cluster(f_global, Tc: np.ndarray, n: int, m: int):
     """Black-box cluster dynamics from a black-box global plant: map the
     cluster state/input back to agent coordinates (the transformed state
     is zero outside the cluster), evaluate the plant, and keep the cluster
-    rows of the transformed derivative. ``Tn_rows`` and ``Tm_rows`` are
-    the cluster's rows of the state and input lifts."""
+    rows of the transformed derivative. ``Tc`` is the cluster's block of
+    rows of T; n and m are the agent state and input dims."""
 
     def dyn(xi, v):
-        dx = np.asarray(f_global(xi @ Tn_rows, v @ Tm_rows), dtype=float).ravel()
-        return Tn_rows @ dx
+        dx = np.asarray(f_global(lift(Tc.T, n, xi), lift(Tc.T, m, v)), dtype=float).ravel()
+        return lift(Tc, n, dx)
 
     return dyn
 
@@ -110,17 +110,14 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
     For a global model the cluster plant is the corresponding diagonal
     block of the transformed dynamics (exact for homogeneous plants, the
     block-diagonal approximation otherwise). For an agent model, clusters
-    of equal size share one plant object, I_s (x) (A, B). The closures
-    of a black-box plant share one state lift and one input lift.
+    of equal size share one plant object, I_s (x) (A, B). The closure of
+    a black-box plant holds its cluster's rows of T (``decomp.lift``).
     """
     n, m, N = spec.n, spec.m, spec.N
+    blocks = [(plan.T[off:off + s], slice(n * off, n * (off + s)))
+              for off, s in zip(plan.offsets(), plan.cluster_sizes)]
     if callable(plant) and not hasattr(plant, "A"):
-        Tn = kron_lift(plan.T, n)
-        Tm = kron_lift(plan.T, m)
-        return [
-            _embedded_cluster(plant, Tn[n * off:n * (off + s)], Tm[m * off:m * (off + s)])
-            for off, s in zip(plan.offsets(), plan.cluster_sizes)
-        ]
+        return [_embedded_cluster(plant, Tc, n, m) for Tc, _ in blocks]
     A = matkit.require_square(plant.A, "plant.A")
     B = matkit.as_matrix(plant.B, "plant.B")
     if A.shape == (n, n) and B.shape == (n, m):
@@ -130,16 +127,10 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
         }
         return [by_size[s] for s in plan.cluster_sizes]
     if A.shape == (n * N, n * N) and B.shape == (n * N, m * N):
-        Tn = kron_lift(plan.T, n)
-        Tm = kron_lift(plan.T, m)
-        Axi = Tn @ A @ Tn.T
-        Bxi = Tn @ B @ Tm.T
-        out = []
-        for off, s in zip(plan.offsets(), plan.cluster_sizes):
-            rs = slice(n * off, n * (off + s))
-            cs = slice(m * off, m * (off + s))
-            out.append(AgentModel(Axi[rs, rs], Bxi[rs, cs]))
-        return out
+        # T on the left once: per cluster, each product would read all of A
+        TA, TB = lift(plan.T, n, A), lift(plan.T, n, B)
+        return [AgentModel(lift(Tc, n, TA[rows].T).T, lift(Tc, m, TB[rows].T).T)
+                for Tc, rows in blocks]
     raise DimensionMismatch("plant dimensions match neither one agent nor the global system")
 
 

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import matkit
-from .decomp import DecompositionPlan, LqrSpec, kron_lift
+from . import decomp, matkit
+from .decomp import DecompositionPlan, LqrSpec
 from .errors import DimensionMismatch, NotHurwitz, PreconditionFailed, SolverDiverged
 from .lqr import evaluate_cost
 
@@ -147,9 +147,8 @@ def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> H
     """
     if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(spec.G1)))) <= 0:
         raise PreconditionFailed("Q must be positive definite (G1 must be PD)")
-    Tn, Tm = kron_lift(plan.T, model.n), kron_lift(plan.T, model.m)
-    a_hat = Tn.T @ model.A @ Tn
-    b_hat = Tn.T @ model.B @ Tm
+    a_hat = decomp.lift(plan.T.T, model.n, decomp.lift(plan.T.T, model.n, model.A.T).T)
+    b_hat = decomp.lift(plan.T.T, model.n, decomp.lift(plan.T.T, model.m, model.B.T).T)
     p_hat, k = matkit.solve_are(a_hat, b_hat, spec.Q, spec.R)
     a_cl = a_hat - b_hat @ k
     return HeteroLift(a_hat, b_hat, model.A - a_hat, model.B - b_hat, a_cl, p_hat, k)

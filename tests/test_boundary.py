@@ -12,6 +12,10 @@ a ``ClusterProblem`` (in ``project_problem``). Every other model-free solve,
 the benchmark's global baseline included, goes through
 ``rl.hierarchical_solve``.
 
+One lift operator: T acts on the agent axis through ``decomp.lift`` alone,
+so no module of ``src/hlqr`` forms the dense T (x) I_d (``kron_lift``, the
+reference tests compare ``lift`` against).
+
 The public API: every name in ``hlqr.__all__`` resolves, and every function
 the benchmark's tracer wraps by name (``TRACED`` in ``perfbench/spans.py``)
 still exists in its module."""
@@ -42,20 +46,31 @@ def test_plant_matrices_read_only_by_map_builder():
     assert {owner for owner, _ in reads} == ALLOWED  # the walk finds the allowed reads
 
 
-def test_one_model_free_pipeline():
-    calls = {
+def package_calls(names) -> set:
+    """(module, name) for each call of one of ``names`` in src/hlqr."""
+    return {
         (path.stem, name)
         for path in Path(hlqr.__file__).parent.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
-        and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
-        in PIPELINE_OWNERS
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in names
     }
+
+
+def test_one_model_free_pipeline():
+    calls = package_calls(PIPELINE_OWNERS)
     assert {(module, name) for module, name in calls
             if module not in PIPELINE_OWNERS[name]} == set()
     # the walk finds the owners' own calls
     assert calls == {(module, name) for name, owners in PIPELINE_OWNERS.items()
                      for module in owners}
+
+
+def test_no_dense_lift_in_package():
+    calls = package_calls({"kron_lift", "lift"})
+    assert {module for module, name in calls if name == "kron_lift"} == set()
+    # the walk finds the lift calls of the consumers
+    assert {("lqr", "lift"), ("robust", "lift")} <= calls
 
 
 def test_public_and_traced_names_exist():

@@ -11,6 +11,7 @@ from hlqr.decomp import (
     construct_T,
     invariant_subspace_check,
     kron_lift,
+    lift,
     project_problem,
     verify_plan,
 )
@@ -350,6 +351,29 @@ class TestPlanProperties:
 
         obj = json.loads(path.read_text())
         assert set(obj) == {"T", "clusterSizes", "phi", "psi", "r", "decomposable"}
+
+
+class TestLift:
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    @given(seed=st.integers(0, 2**31), N=st.integers(1, 6), k=st.integers(1, 3))
+    def test_matches_dense_lift(self, seed, N, k):
+        # (T (x) I_d) X without the Kronecker product, for all of T, a block
+        # of its rows and T', on a vector and on a k-column matrix
+        rng = np.random.default_rng(seed)
+        T, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        o = int(rng.integers(N))
+        rows = T[o:o + int(rng.integers(1, N - o + 1))]
+        for d in (1, 2, 4):
+            for X in (rng.standard_normal(N * d), rng.standard_normal((N * d, k))):
+                for S in (T, rows, T.T):
+                    want = kron_lift(S, d) @ X
+                    got = lift(S, d, X)
+                    assert got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_rejects_rows_of_another_layout(self):
+        with pytest.raises(DimensionMismatch):
+            lift(np.eye(2), 2, np.ones(6))
 
 
 class TestCoordinateEquivalence:

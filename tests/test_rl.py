@@ -896,24 +896,35 @@ class TestHierarchicalSolve:
         assert set(obj["perCluster"][0]) == {"size", "iters", "residual", "wallMs", "batchOf"}
 
     def test_hetero_plant_uses_block_diagonal_slice(self, rng):
-        # the cluster plants for a global plant are the diagonal blocks of
-        # the transformed dynamics
+        # the cluster plants of a global plant, as a model or as a black box,
+        # are the diagonal blocks of the dense transformed dynamics
         from hlqr.decomp import kron_lift
         from hlqr.robust import HeteroModel
 
-        spec = two_agent_spec()
+        N, n, m = 3, 2, 1
+        G1 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+        spec = LqrSpec(N, n, m, G1, np.diag([1.0, 2.0, 3.0]), np.eye(n), np.eye(m))
         plan = construct_T(spec.G1, spec.G2)
-        model = HeteroModel([np.array([[-1.0]]), np.array([[-0.6]])],
-                            [np.eye(1), np.eye(1)])
+        assert max(plan.cluster_sizes) >= 2
+        model = HeteroModel([rng.standard_normal((n, n)) for _ in range(N)],
+                            [rng.standard_normal((n, m)) for _ in range(N)])
+        Tn, Tm = kron_lift(plan.T, n), kron_lift(plan.T, m)
+        Axi, Bxi = Tn @ model.A @ Tn.T, Tn @ model.B @ Tm.T
         plants = rl.cluster_plants(model, plan, spec)
-        Tn = kron_lift(plan.T, 1)
-        Axi = Tn @ model.A @ Tn.T
-        for i, plant in enumerate(plants):
-            np.testing.assert_allclose(plant.A, Axi[i : i + 1, i : i + 1], atol=1e-14)
+        closures = rl.cluster_plants(lambda x, u: model.A @ x + model.B @ u, plan, spec)
+        for plant, f, off, s in zip(plants, closures, plan.offsets(), plan.cluster_sizes):
+            rs, cs = slice(n * off, n * (off + s)), slice(m * off, m * (off + s))
+            scale = np.linalg.norm(Axi) + np.linalg.norm(Bxi)
+            # a linear closure's matrices are its values on unit states and inputs
+            Af = np.column_stack([f(e, np.zeros(m * s)) for e in np.eye(n * s)])
+            Bf = np.column_stack([f(np.zeros(n * s), e) for e in np.eye(m * s)])
+            for got_A, got_B in ((plant.A, plant.B), (Af, Bf)):
+                assert np.linalg.norm(got_A - Axi[rs, rs]) <= 1e-14 * scale
+                assert np.linalg.norm(got_B - Bxi[rs, cs]) <= 1e-14 * scale
 
-    def test_callable_clusters_share_lifts(self):
-        # the closures of a black-box plant hold one state and one input
-        # lift between them, not one pair each
+    def test_callable_clusters_hold_rows_of_T(self):
+        # the closures of a black-box plant hold their clusters' rows of T,
+        # under a tenth of the dense state and input lifts T (x) I_n, T (x) I_m
         from hlqr.bench import BenchConfig, build_example
 
         N = 60
@@ -929,7 +940,7 @@ class TestHierarchicalSolve:
         finally:
             tracemalloc.stop()
         assert len(plants) == N
-        assert retained <= 2 * lift_bytes
+        assert retained <= lift_bytes / 10
 
     def test_callable_clusters_of_one_shape_collect_together(self, rng, monkeypatch):
         # G2 = I: four size-1 clusters of a black-box plant x' = u form one

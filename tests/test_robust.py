@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from hlqr import matkit, robust
 from hlqr.bench import gen_graph
-from hlqr.decomp import LqrSpec, construct_T, kron_lift
+from hlqr.decomp import LqrSpec, construct_T
 from hlqr.errors import NotHurwitz, PreconditionFailed, SolverDiverged
 from hlqr.robust import (
     HeteroModel,
@@ -530,16 +530,3 @@ class TestRobustReport:
         assert rep.gain_gap == 0.0
         assert rep.verdicts == {"lmi": lmi_ok, "small_gain": sg_ok,
                                 "bound_holds": pb.holds, "deployed_stable": True}
-
-    def test_one_lift_per_report(self, monkeypatch):
-        # T_n and T_m are formed once per report, by hetero_lift
-        model, spec, plan, x0, _, _, _ = middle_factor_case(0)
-        calls = []
-
-        def counted(T, k):
-            calls.append(k)
-            return kron_lift(T, k)
-
-        monkeypatch.setattr(robust, "kron_lift", counted)
-        robust_report(model, plan, spec, x0)
-        assert calls == [model.n, model.m]
