@@ -228,7 +228,8 @@ def _run_model_free(config, spec, model, x0, solver):
     A_nom, B_nom = _point_mass_agent(1.0, 1.0)
     t0 = time.perf_counter()
     deadline = time.monotonic() + config.timeout_s
-    plan = (construct_T if solver == "hierarchical-rl" else single_cluster_plan)(spec.G1, spec.G2)
+    plan = (construct_T(spec.G1, spec.G2) if solver == "hierarchical-rl"
+            else single_cluster_plan(spec.N))
     last_error: Exception | None = None
     for attempt in range(4):
         depth = 1.0 * 1.5**attempt
@@ -253,9 +254,8 @@ def _run_model_free(config, spec, model, x0, solver):
             raise
         wall = 1e3 * (time.perf_counter() - t0)
         J = evaluate_cost(model.A - model.B @ K, spec.Q + K.T @ spec.R @ K, x0)
-        detail = rl.result_to_json(K, stats, wall)
-        detail.pop("K")
-        return plan, SolverResult(solver, "ok", wall, J=J, K=K, detail=detail)
+        return plan, SolverResult(solver, "ok", wall, J=J, K=K,
+                                  detail=rl.stats_to_json(stats, wall))
     raise last_error
 
 

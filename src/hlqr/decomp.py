@@ -9,6 +9,7 @@ projects the problem data onto the clusters.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -138,13 +139,23 @@ class ClusterProblem:
 
 @dataclass(eq=False)
 class DecompositionPlan:
-    """Orthogonal T with cluster sizes N_1..N_r and the diagonal blocks of
-    T G1 T' (phi) and T G2 T' (psi)."""
+    """Orthogonal T and the sizes N_1..N_r of its clusters of rows. Cluster
+    c's weights phi_c = T_c G1 T_c' and psi_c = T_c G2 T_c' follow from T
+    and the spec, and :func:`project_problem` cuts them."""
 
     T: np.ndarray
     cluster_sizes: tuple[int, ...]
-    phi_blocks: list[np.ndarray]
-    psi_blocks: list[np.ndarray]
+
+    def __post_init__(self):
+        self.T = matkit.require_square(self.T, "T")
+        sizes = tuple(self.cluster_sizes)
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0
+                   for s in sizes):
+            raise DimensionMismatch(f"cluster sizes must be positive integers, got {sizes}")
+        if sum(sizes) != self.T.shape[0]:
+            raise DimensionMismatch(
+                f"cluster sizes {sizes} sum to {sum(sizes)}, T has {self.T.shape[0]} rows")
+        self.cluster_sizes = tuple(int(s) for s in sizes)
 
     @property
     def r(self) -> int:
@@ -220,23 +231,10 @@ def _sign_fix_rows(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extract_blocks(M: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    blocks, acc = [], 0
-    for s in sizes:
-        blocks.append(matkit.symmetrize(M[acc : acc + s, acc : acc + s]).copy())
-        acc += s
-    return blocks
-
-
-def single_cluster_plan(G1: np.ndarray, G2: np.ndarray) -> DecompositionPlan:
-    """The undecomposed problem as a plan: T = I and one cluster (r = 1)."""
-    N = G1.shape[0]
-    return DecompositionPlan(
-        T=np.eye(N),
-        cluster_sizes=(N,),
-        phi_blocks=[matkit.symmetrize(G1).copy()],
-        psi_blocks=[matkit.symmetrize(G2).copy()],
-    )
+def single_cluster_plan(N: int) -> DecompositionPlan:
+    """The undecomposed problem of N agents as a plan: T = I and one
+    cluster (r = 1)."""
+    return DecompositionPlan(T=np.eye(N), cluster_sizes=(N,))
 
 
 def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
@@ -256,7 +254,8 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     with MS != SM gives one cluster of 4, not two of 2). If r = 1, or the
     split misses the tolerances of :func:`verify_plan` that
     :func:`project_problem` enforces, :func:`single_cluster_plan` is
-    returned (``decomposable`` is False).
+    returned (``decomposable`` is False). The plan holds T and the cluster
+    sizes only; :func:`project_problem` cuts the cluster weights.
     """
     if not 0.0 < tol < np.inf:
         raise PreconditionFailed(f"tol must be finite and positive, got {tol!r}")
@@ -279,59 +278,50 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     r, labels = matkit.component_labels(
         (np.abs(M1) > tol * norm1) | (np.abs(M2) > tol * norm2))
     if r == 1:
-        return single_cluster_plan(G1, G2)
+        return single_cluster_plan(len(G1))
     # labels are numbered from each cluster's first row, so a stable sort
     # keeps the clusters, and the rows within each, in eigenvalue order
     perm = np.argsort(labels, kind="stable")
-    sizes = tuple(np.bincount(labels).tolist())
+    plan = DecompositionPlan(T=F[perm], cluster_sizes=tuple(np.bincount(labels).tolist()))
     M1, M2 = M1[np.ix_(perm, perm)], M2[np.ix_(perm, perm)]
-    plan = DecompositionPlan(
-        T=F[perm],
-        cluster_sizes=sizes,
-        phi_blocks=_extract_blocks(M1, sizes),
-        psi_blocks=_extract_blocks(M2, sizes),
-    )
     # entries at or under the link threshold are dropped, and many of
     # them can leave too much weight off the blocks
     if not _plan_check(plan, M1, M2, norm1, norm2).passed:
-        return single_cluster_plan(G1, G2)
+        return single_cluster_plan(len(G1))
     return plan
 
 
-def _off_block_norm(M: np.ndarray, plan: DecompositionPlan, blocks) -> float:
-    """Frobenius norm of M minus the block diagonal of ``blocks``, with
-    each block subtracted in place from M (entries off the blocks would
-    only lose 0.0)."""
-    if len(blocks) != plan.r:
-        raise DimensionMismatch("plan needs one phi and one psi block per cluster")
-    for o, size, b in zip(plan.offsets(), plan.cluster_sizes, blocks):
-        if np.shape(b) != (size, size):
-            raise DimensionMismatch(
-                f"plan block of shape {np.shape(b)} for cluster size {size}")
-        M[o:o + size, o:o + size] -= b
+def _transformed(plan: DecompositionPlan, G1: np.ndarray, G2: np.ndarray):
+    """M1 = T G1 T', M2 = T G2 T' and the Frobenius norms of G1 and G2."""
+    T = plan.T
+    if not T.shape == G1.shape == G2.shape:
+        raise DimensionMismatch("plan dimensions do not match G1/G2")
+    return T @ G1 @ T.T, T @ G2 @ T.T, float(np.linalg.norm(G1)), float(np.linalg.norm(G2))
+
+
+def _off_block_norm(M: np.ndarray, plan: DecompositionPlan) -> float:
+    """Frobenius norm of M off the plan's diagonal blocks, which are
+    zeroed in place."""
+    for o, size in zip(plan.offsets(), plan.cluster_sizes):
+        M[o:o + size, o:o + size] = 0.0
     return float(np.linalg.norm(M))
 
 
 def verify_plan(plan: DecompositionPlan, G1, G2) -> PlanCheck:
-    """Diagnostic residuals for a plan: orthogonality of T and the distance
-    of each transformed weight matrix from the plan's block diagonal."""
+    """Diagnostic residuals for a plan: orthogonality of T and the weight
+    of each transformed matrix T G T' off the plan's diagonal blocks."""
     G1 = matkit.require_square(G1, "G1")
     G2 = matkit.require_square(G2, "G2")
-    T = matkit.require_square(plan.T, "T")
-    if T.shape != G1.shape or sum(plan.cluster_sizes) != T.shape[0]:
-        raise DimensionMismatch("plan dimensions do not match G1/G2")
-    return _plan_check(plan, T @ G1 @ T.T, T @ G2 @ T.T,
-                       float(np.linalg.norm(G1)), float(np.linalg.norm(G2)))
+    return _plan_check(plan, *_transformed(plan, G1, G2))
 
 
 def _plan_check(plan: DecompositionPlan, M1: np.ndarray, M2: np.ndarray,
                 norm1: float, norm2: float) -> PlanCheck:
     """:func:`verify_plan`'s residuals and pass rule from M1 = T G1 T' and
     M2 = T G2 T' (both overwritten) and the Frobenius norms of G1 and G2."""
-    T = np.asarray(plan.T, dtype=float)
-    orth = float(np.linalg.norm(T @ T.T - np.eye(T.shape[0])))
-    d1 = _off_block_norm(M1, plan, plan.phi_blocks)
-    d2 = _off_block_norm(M2, plan, plan.psi_blocks)
+    orth = float(np.linalg.norm(plan.T @ plan.T.T - np.eye(plan.T.shape[0])))
+    d1 = _off_block_norm(M1, plan)
+    d2 = _off_block_norm(M2, plan)
     passed = (
         orth <= matkit.ORTH_TOL
         and d1 <= matkit.DEFAULT_TOL * norm1
@@ -347,24 +337,29 @@ def project_problem(
 ) -> list[ClusterProblem]:
     """Split the structured problem into its cluster problems.
 
-    Cluster i gets weights Qblock = phi_i (x) Q0 and Rblock = psi_i (x) R0,
-    a window count of ``WINDOW_FACTOR`` times its regression unknown count,
-    and an excitation seeded per cluster. The plan must verify against the
-    spec's weights.
+    Forms M1 = T G1 T' and M2 = T G2 T' once: cluster i's weights
+    phi_i and psi_i are the diagonal blocks of M1 and M2, and the plan must
+    pass :func:`verify_plan`'s check on the same products. Cluster i gets
+    Qblock = phi_i (x) Q0 and Rblock = psi_i (x) R0, a window count of
+    ``WINDOW_FACTOR`` times its regression unknown count, and an excitation
+    seeded per cluster.
     """
-    check = verify_plan(plan, spec.G1, spec.G2)
-    if not check.passed:
+    M1, M2, norm1, norm2 = _transformed(plan, spec.G1, spec.G2)
+    # copies of the symmetrized blocks, before _plan_check zeroes them
+    weights = [tuple(matkit.symmetrize(M[o:o + s, o:o + s]) for M in (M1, M2))
+               for o, s in zip(plan.offsets(), plan.cluster_sizes)]
+    if not _plan_check(plan, M1, M2, norm1, norm2).passed:
         raise PreconditionFailed("plan does not verify against this spec")
     problems = []
-    for i, size in enumerate(plan.cluster_sizes):
+    for i, (size, (phi, psi)) in enumerate(zip(plan.cluster_sizes, weights)):
         nc, mc = spec.n * size, spec.m * size
         exc = replace(excitation, seed=excitation.seed + i) if excitation else None
         problems.append(
             ClusterProblem(
                 state_dim=nc,
                 input_dim=mc,
-                Qblock=matkit.kron(plan.phi_blocks[i], spec.Q0),
-                Rblock=matkit.kron(plan.psi_blocks[i], spec.R0),
+                Qblock=matkit.kron(phi, spec.Q0),
+                Rblock=matkit.kron(psi, spec.R0),
                 excitation=exc,
                 window_count=WINDOW_FACTOR * unknown_count(nc, mc),
             )
@@ -379,20 +374,16 @@ def plan_to_json(plan: DecompositionPlan) -> dict:
     return {
         "T": matkit.matrix_to_json(plan.T),
         "clusterSizes": list(plan.cluster_sizes),
-        "phi": [matkit.matrix_to_json(b) for b in plan.phi_blocks],
-        "psi": [matkit.matrix_to_json(b) for b in plan.psi_blocks],
         "r": plan.r,
         "decomposable": bool(plan.decomposable),
     }
 
 
 def plan_from_json(obj: dict) -> DecompositionPlan:
-    return DecompositionPlan(
-        T=matkit.matrix_from_json(obj["T"]),
-        cluster_sizes=tuple(int(s) for s in obj["clusterSizes"]),
-        phi_blocks=[matkit.matrix_from_json(b) for b in obj["phi"]],
-        psi_blocks=[matkit.matrix_from_json(b) for b in obj["psi"]],
-    )
+    """The plan of ``obj``'s T and cluster sizes; other keys, such as the
+    "phi"/"psi" blocks of older plan files, are not read."""
+    return DecompositionPlan(T=matkit.matrix_from_json(obj["T"]),
+                             cluster_sizes=obj["clusterSizes"])
 
 
 def save_plan(plan: DecompositionPlan, path) -> None:

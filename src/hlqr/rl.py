@@ -843,10 +843,9 @@ def hierarchical_solve(spec: LqrSpec, plan: DecompositionPlan, plant_access,
     return K, stats
 
 
-def result_to_json(K: np.ndarray, stats: Sequence[ClusterStats],
-                   total_wall_ms: float) -> dict:
+def stats_to_json(stats: Sequence[ClusterStats], total_wall_ms: float) -> dict:
+    """The ``perCluster`` record and ``totalWallMs`` of a solve."""
     return {
-        "K": matkit.matrix_to_json(K),
         "perCluster": [
             {
                 "size": s.size,
@@ -859,3 +858,8 @@ def result_to_json(K: np.ndarray, stats: Sequence[ClusterStats],
         ],
         "totalWallMs": total_wall_ms,
     }
+
+
+def result_to_json(K: np.ndarray, stats: Sequence[ClusterStats],
+                   total_wall_ms: float) -> dict:
+    return {"K": matkit.matrix_to_json(K), **stats_to_json(stats, total_wall_ms)}

@@ -26,6 +26,12 @@ def random_laplacian(rng, N):
     return gen_graph(N, int(rng.integers(0, 2**31)))
 
 
+def diagonal_blocks(plan, G):
+    """The plan's diagonal blocks of T G T', one per cluster."""
+    M = plan.T @ G @ plan.T.T
+    return [M[o:o + s, o:o + s] for o, s in zip(plan.offsets(), plan.cluster_sizes)]
+
+
 def random_controllable(rng, n, m, max_tries=50):
     """Random (A, B) with a full-rank controllability matrix."""
     from hlqr.matkit import ctrb_rank

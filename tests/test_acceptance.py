@@ -31,7 +31,8 @@ from hlqr.robust import (
     performance_bound,
     small_gain_check,
 )
-from conftest import random_controllable, random_laplacian, random_spd, random_stable
+from conftest import (diagonal_blocks, random_controllable, random_laplacian, random_spd,
+                      random_stable)
 
 
 def report(num, name, ok, detail):
@@ -165,7 +166,7 @@ def test_criterion_4_decomposition_invariants():
 
         eig_gap = np.max(
             np.abs(
-                np.sort(np.linalg.eigvalsh(sla.block_diag(*plan.phi_blocks)))
+                np.sort(np.linalg.eigvalsh(sla.block_diag(*diagonal_blocks(plan, G1))))
                 - np.linalg.eigvalsh(G1)
             )
         )

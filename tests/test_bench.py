@@ -115,7 +115,7 @@ class TestRunBench:
         config = BenchConfig(N=2, seed=3, solvers=("global-rl",))
         row = run_bench(config).rows[0]
         spec, model, _ = build_example(config)
-        plan = single_cluster_plan(spec.G1, spec.G2)
+        plan = single_cluster_plan(spec.N)
         agent = AgentModel(model.A_blocks[0], model.B_blocks[0])  # the nominal agent
         k_agent = derive_initial_gain(agent.A, agent.B, seed=config.seed)
         K, _ = hierarchical_solve(

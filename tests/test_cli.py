@@ -189,6 +189,13 @@ def test_precondition_exit_code(tmp_path):
     assert rc == 2
 
 
+def _edit_plan(tmp, **fields):
+    """Overwrite ``fields`` of the plan file ``tmp / "plan.json"``."""
+    obj = json.loads((tmp / "plan.json").read_text())
+    obj.update(fields)
+    (tmp / "plan.json").write_text(json.dumps(obj))
+
+
 def _bad_input_argv(tmp, case):
     """argv of one command whose input ``case`` is malformed, after running
     the commands that make its other inputs."""
@@ -220,8 +227,13 @@ def _bad_input_argv(tmp, case):
     assert cli.main(decompose) == 0
     if case == "solve-negative-seed":
         return solve + ["--mode", "model-free", "--seed", "-1"]
+    if case == "plan-sizes-sum":
+        _edit_plan(tmp, clusterSizes=[1])
+        return solve + ["--mode", "model-based"]
     assert cli.main(solve + ["--mode", "model-based"]) == 0
-    if case == "gain-shape":
+    if case == "plan-negative-size":
+        _edit_plan(tmp, clusterSizes=[-1, 3])
+    elif case == "gain-shape":
         K = matkit.matrix_from_json(json.loads((tmp / "gain.json").read_text())["K"])
         (tmp / "gain.json").write_text(json.dumps({"K": matkit.matrix_to_json(K[:-1])}))
     else:
@@ -243,6 +255,8 @@ def _bad_input_argv(tmp, case):
     ("x0-length", "x0"),
     ("tol-nan", "tol"),
     ("tol--1", "tol"),
+    ("plan-negative-size", "cluster sizes"),
+    ("plan-sizes-sum", "cluster sizes"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_naming_it(toy_files, capsys, case, named):
@@ -251,6 +265,24 @@ def test_bad_input_exits_2_naming_it(toy_files, capsys, case, named):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_plan_file_with_stored_blocks_solves(toy_files):
+    # older plan files also hold the cluster weights as "phi"/"psi" blocks;
+    # the weights come from T and the spec, so even wrong blocks change nothing
+    tmp = toy_files[0]
+    solve = ["solve", "--spec", str(tmp / "spec.json"), "--plan", str(tmp / "plan.json"),
+             "--mode", "model-based", "--out"]
+    assert cli.main(["decompose", "--g1", str(tmp / "g1.csv"), "--g2", str(tmp / "g2.json"),
+                     "--out", str(tmp / "plan.json")]) == 0
+    assert cli.main(solve + [str(tmp / "gain.json")]) == 0
+    sizes = json.loads((tmp / "plan.json").read_text())["clusterSizes"]
+    zeros = [matkit.matrix_to_json(np.zeros((s, s))) for s in sizes]
+    _edit_plan(tmp, phi=zeros, psi=zeros)
+    assert cli.main(solve + [str(tmp / "gain_old.json")]) == 0
+    K, K_old = (matkit.matrix_from_json(json.loads((tmp / name).read_text())["K"])
+                for name in ("gain.json", "gain_old.json"))
+    assert np.array_equal(K, K_old)
 
 
 def _solve_agent_pair(tmp, A, B, mode):

@@ -16,7 +16,7 @@ from hlqr.decomp import (
     verify_plan,
 )
 from hlqr.errors import DimensionMismatch, NotOrthonormal, PreconditionFailed
-from conftest import random_laplacian, random_spd, random_symmetric
+from conftest import diagonal_blocks, random_laplacian, random_spd, random_symmetric
 
 G1_3X3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
 G2_3X3 = np.diag([1.0, 2.0, 3.0])
@@ -101,7 +101,7 @@ class TestConstructT:
         assert plan.decomposable
         assert verify_plan(plan, G1, np.eye(5)).passed
         # rows of T are eigenvectors of G1: T G1 T' is diagonal with the spectrum
-        diag = np.array([b[0, 0] for b in plan.phi_blocks])
+        diag = np.diag(plan.T @ G1 @ plan.T.T)
         np.testing.assert_allclose(np.sort(diag), np.linalg.eigvalsh(G1), atol=1e-8)
 
     @pytest.mark.filterwarnings("error")
@@ -163,7 +163,8 @@ class TestConstructT:
             assert not plan.decomposable
             assert verify_plan(plan, G1, G2).passed
             np.testing.assert_array_equal(plan.T, np.eye(len(G1)))
-            np.testing.assert_array_equal(plan.phi_blocks[0], G1)
+            spec = LqrSpec(len(G1), 1, 1, G1, G2, np.eye(1), np.eye(1))
+            np.testing.assert_array_equal(project_problem(spec, plan)[0].Qblock, G1)
 
     def test_commuting_distinct_pair_decomposes_fully(self, rng):
         # common eigenbasis with distinct spectra on both sides
@@ -206,12 +207,7 @@ class TestVerifyPlan:
 
     def test_identity_transform_fails_on_coupled_weights(self):
         G1 = np.array([[2.0, 1.0], [1.0, 2.0]])
-        plan = DecompositionPlan(
-            T=np.eye(2),
-            cluster_sizes=(1, 1),
-            phi_blocks=[np.array([[2.0]]), np.array([[2.0]])],
-            psi_blocks=[np.array([[1.0]]), np.array([[1.0]])],
-        )
+        plan = DecompositionPlan(T=np.eye(2), cluster_sizes=(1, 1))
         check = verify_plan(plan, G1, np.eye(2))
         assert not check.passed
         # residual equals the off-diagonal Frobenius mass
@@ -221,31 +217,22 @@ class TestVerifyPlan:
         # same oracle as the pairing test, built explicitly
         s = 1 / np.sqrt(2)
         T = np.array([[s, -s, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0]])
-        phi = [T[:2, :] @ G1_3X3 @ T[:2, :].T, T[2:, :] @ G1_3X3 @ T[2:, :].T]
-        psi = [T[:2, :] @ G2_3X3 @ T[:2, :].T, T[2:, :] @ G2_3X3 @ T[2:, :].T]
-        plan = DecompositionPlan(T, (2, 1), phi, psi)
+        plan = DecompositionPlan(T, (2, 1))
         assert verify_plan(plan, G1_3X3, G2_3X3).passed
 
     def test_residuals_equal_block_diag_formula(self, rng):
-        # blocks subtracted in place give the residuals of
-        # ||T G T' - block_diag(blocks)|| bit for bit on a random plan
+        # blocks zeroed in place give the residuals of
+        # ||T G T' - block_diag(its diagonal blocks)|| bit for bit on a random plan
         import scipy.linalg as sla
 
-        sizes = (2, 1, 3, 2)
         T, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        plan = DecompositionPlan(T, (2, 1, 3, 2))
         G1, G2 = (random_symmetric(rng, 8) + 8 * np.eye(8) for _ in range(2))
-        phi = [rng.standard_normal((k, k)) for k in sizes]
-        psi = [rng.standard_normal((k, k)) for k in sizes]
-        check = verify_plan(DecompositionPlan(T, sizes, phi, psi), G1, G2)
-        assert check.off_block_g1 == np.linalg.norm(T @ G1 @ T.T - sla.block_diag(*phi))
-        assert check.off_block_g2 == np.linalg.norm(T @ G2 @ T.T - sla.block_diag(*psi))
-        assert check.off_block_g1 > 0 and check.off_block_g2 > 0
-
-    def test_rejects_block_of_wrong_size(self):
-        plan = DecompositionPlan(np.eye(3), (2, 1), [np.eye(2), np.eye(2)],
-                                 [np.eye(2), np.eye(1)])
-        with pytest.raises(DimensionMismatch):
-            verify_plan(plan, np.eye(3), np.eye(3))
+        check = verify_plan(plan, G1, G2)
+        for G, residual in ((G1, check.off_block_g1), (G2, check.off_block_g2)):
+            assert residual == np.linalg.norm(
+                T @ G @ T.T - sla.block_diag(*diagonal_blocks(plan, G)))
+            assert residual > 0
 
 
 class TestProjectProblem:
@@ -297,7 +284,7 @@ class TestPlanProperties:
         plan = construct_T(G1, np.eye(N))
         import scipy.linalg as sla
 
-        block_eigs = np.sort(np.linalg.eigvalsh(sla.block_diag(*plan.phi_blocks)))
+        block_eigs = np.sort(np.linalg.eigvalsh(sla.block_diag(*diagonal_blocks(plan, G1))))
         np.testing.assert_allclose(block_eigs, np.linalg.eigvalsh(G1), atol=1e-8)
 
     @settings(deadline=None, max_examples=100)
@@ -350,7 +337,7 @@ class TestPlanProperties:
         import json
 
         obj = json.loads(path.read_text())
-        assert set(obj) == {"T", "clusterSizes", "phi", "psi", "r", "decomposable"}
+        assert set(obj) == {"T", "clusterSizes", "r", "decomposable"}
 
 
 class TestLift:
