@@ -377,7 +377,7 @@ def solve_are(A, B, Q, R):
 
 # ---------------------------------------------------------------------------
 # Matrix file formats: headerless CSV and {"rows", "cols", "data"} JSON.
-# Both round-trip float64 exactly (17 significant digits).
+# Both round-trip float64 exactly when written with 17 significant digits.
 
 def matrix_to_json(M) -> dict:
     A = as_matrix(M, "matrix")
@@ -392,18 +392,8 @@ def matrix_from_json(obj) -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def save_matrix_json(M, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json(M)))
-
-
 def load_matrix_json(path) -> np.ndarray:
     return matrix_from_json(json.loads(Path(path).read_text()))
-
-
-def save_matrix_csv(M, path) -> None:
-    A = as_matrix(M, "matrix")
-    lines = [",".join(f"{v:.17g}" for v in row) for row in A]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -5,7 +5,7 @@ H-infinity / H2 norm machinery they need. The three certificates read one
 ``HeteroLift``, the transformed design that ``hetero_lift`` forms once.
 
 Importing this module loads numpy alone. ``scipy.linalg`` loads on the
-first ``hinf_norm`` (complex Schur form, triangular solves) or Lyapunov
+first ``hinf_norm`` (Schur form, triangular solves) or Lyapunov
 solve (``matkit.solve_lyapunov``, behind ``h2_norm`` and
 ``evaluate_cost``)."""
 
@@ -26,6 +26,10 @@ from .lqr import evaluate_cost
 HINF_AXIS_RTOL = 1e-8
 HINF_MAX_ROUNDS = 30
 HINF_RESONANT_PROBES = 5
+HINF_GRID_POINTS = 9
+HINF_REFINE_PROBES = 12
+HINF_REFINE_LOG_WIDTH = 1e-4
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 
 
 @dataclass(eq=False)
@@ -198,6 +202,45 @@ def _sigma_max_at(solve_triangular, T, CU, UhB, omega: float) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
+def _refine_peak(sigma, probes: np.ndarray) -> float:
+    """The largest sigma_max found by probing the frequencies ``probes``
+    and then running a golden-section search for a peak in log w between
+    the sorted neighbours of the best probe, which bracket it. The search
+    stops once the bracket is ``HINF_REFINE_LOG_WIDTH`` wide in log w, or
+    after ``HINF_REFINE_PROBES`` probes. ``probes`` holds w = 0 and two
+    or more positive frequencies. A neighbour at w = 0, or none, is
+    replaced by the mirror image in log w of the other one; a best probe
+    at w = 0 is not refined."""
+    omega = np.unique(probes)
+    values = np.array([sigma(w) for w in omega])
+    k = int(np.argmax(values))
+    best = float(values[k])
+    if omega[k] <= 0.0:
+        return best
+    mid = float(np.log(omega[k]))
+    left = float(np.log(omega[k - 1])) if omega[k - 1] > 0.0 else None
+    right = float(np.log(omega[k + 1])) if k + 1 < omega.size else None
+    left = 2.0 * mid - right if left is None else left
+    right = 2.0 * mid - left if right is None else right
+    for _ in range(HINF_REFINE_PROBES):
+        if right - left <= HINF_REFINE_LOG_WIDTH:
+            break
+        # probe the wider side of the bracket, a golden fraction into it
+        if right - mid >= mid - left:
+            trial = mid + _GOLDEN * (right - mid)
+        else:
+            trial = mid - _GOLDEN * (mid - left)
+        value = sigma(float(np.exp(trial)))
+        if value > best:
+            left, right = (mid, right) if trial > mid else (left, mid)
+            mid, best = trial, value
+        elif trial > mid:
+            right = trial
+        else:
+            left = trial
+    return best
+
+
 def _axis_crossings(sys: LtiSystem, gamma: float) -> np.ndarray:
     """Frequencies w >= 0 at which sigma_max(G(jw)) crosses the level
     gamma > 0: the imaginary parts of the imaginary-axis eigenvalues of
@@ -218,15 +261,18 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     """Certified upper bound on the H-infinity norm, within relative
     ``tol`` of it, by the Bruinsma-Steinbuch iteration.
 
-    One complex Schur form A = U T U^H serves the whole call: diag(T)
-    gives the Hurwitz check and the resonant frequencies, and each
-    sigma_max(G(jw)) is one triangular solve with jw I - T (Laub 1981).
-    A lower bound ``lo`` is the largest sigma_max at zero, at the
-    ``HINF_RESONANT_PROBES`` most lightly damped resonances of A
-    (smallest -Re(lambda)/|lambda| among the eigenvalues with Im(lambda)
-    > 0) and on a log grid. Any sigma_max is a valid lower bound, so the
-    probes only decide how close ``lo`` starts; the certificate comes
-    from the Hamiltonian test alone. Each round tests
+    One complex Schur form A = U T U^H, converted from the real one,
+    serves the whole call: diag(T) gives the Hurwitz check and the
+    resonant frequencies, and each sigma_max(G(jw)) is one triangular
+    solve with jw I - T (Laub 1981). A lower bound ``lo`` is the largest
+    sigma_max at zero, at the ``HINF_RESONANT_PROBES`` most lightly damped
+    resonances of A (smallest -Re(lambda)/|lambda| among the eigenvalues
+    with Im(lambda) > 0) and on a ``HINF_GRID_POINTS``-point log grid over
+    four decades, raised by a short golden-section search for the peak
+    between the neighbours of the best probe (``_refine_peak``), so that
+    the first round usually certifies. Any sigma_max is a valid lower
+    bound, so the probes only decide how close ``lo`` starts; the
+    certificate comes from the Hamiltonian test alone. Each round tests
     the level gamma = (1 + tol/2) lo on the Hamiltonian. With no
     imaginary-axis eigenvalue, sigma_max stays below gamma at every
     frequency and gamma is returned, so ||G||_inf <= gamma <= (1 + tol/2)
@@ -239,13 +285,13 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     Each such round doubles the margin of gamma over ``lo``, so the
     result stays a certified upper bound but may exceed the norm by more
     than ``tol``. Requires A Hurwitz; raises ``SolverDiverged`` after
-    ``HINF_MAX_ROUNDS`` rounds without a certificate. The complex Schur
-    form and the triangular solves come from ``scipy.linalg``, imported
-    on the first call.
+    ``HINF_MAX_ROUNDS`` rounds without a certificate. The Schur forms
+    and the triangular solves come from ``scipy.linalg``, imported on the
+    first call; the search is numpy code and loads no ``scipy.optimize``.
     """
-    from scipy.linalg import schur, solve_triangular
+    from scipy.linalg import rsf2csf, schur, solve_triangular
 
-    T, U = schur(sys.A, output="complex")
+    T, U = rsf2csf(*schur(sys.A))
     eig = np.diag(T)
     if float(np.max(eig.real)) >= 0:
         raise NotHurwitz("A must be Hurwitz")
@@ -256,8 +302,8 @@ def hinf_norm(sys: LtiSystem, tol: float = 1e-6) -> float:
     damping = -resonant.real / np.abs(resonant)
     lightest = resonant[np.argsort(damping, kind="stable")[:HINF_RESONANT_PROBES]]
     scale = max(1.0, float(np.max(np.abs(eig))))
-    probes = [0.0, *lightest.imag, *(scale * np.logspace(-2, 2, 25))]
-    lo = max(_sigma_max_at(*probe_args, w) for w in probes)
+    probes = np.array([0.0, *lightest.imag, *(scale * np.logspace(-2, 2, HINF_GRID_POINTS))])
+    lo = _refine_peak(lambda w: _sigma_max_at(*probe_args, w), probes)
     if lo <= 0.0:
         return 0.0
     excess = 0.5 * tol

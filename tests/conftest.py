@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hlqr
 from hlqr.bench import gen_graph
-from hlqr.matkit import spectral_abscissa
+from hlqr.matkit import as_matrix, matrix_to_json, spectral_abscissa
 
 
 @pytest.fixture
@@ -48,3 +55,24 @@ def random_stable(rng, n, margin=0.5):
     """Random Hurwitz matrix."""
     A = rng.standard_normal((n, n))
     return A - (spectral_abscissa(A) + margin + rng.random()) * np.eye(n)
+
+
+def save_matrix_json(M, path) -> None:
+    """Write M as a {"rows", "cols", "data"} matrix file."""
+    Path(path).write_text(json.dumps(matrix_to_json(M)))
+
+
+def save_matrix_csv(M, path) -> None:
+    """Write M as a headerless CSV matrix file, 17 significant digits."""
+    lines = [",".join(f"{v:.17g}" for v in row) for row in as_matrix(M)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def run_fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports hlqr from
+    the tree under test."""
+    src = str(Path(hlqr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout

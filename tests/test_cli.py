@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hlqr
 from hlqr import cli, matkit
 from hlqr.bench import build_example, BenchConfig
 from hlqr.errors import (
@@ -19,6 +14,7 @@ from hlqr.errors import (
     RegressionSingular,
     SolverDiverged,
 )
+from conftest import run_fresh_python, save_matrix_csv, save_matrix_json
 
 
 @pytest.fixture
@@ -38,8 +34,8 @@ def toy_files(tmp_path):
         "B": matkit.matrix_to_json(model.B_blocks[0]),
     }
     (tmp_path / "spec.json").write_text(json.dumps(spec_obj))
-    matkit.save_matrix_csv(spec.G1, tmp_path / "g1.csv")
-    matkit.save_matrix_json(spec.G2, tmp_path / "g2.json")
+    save_matrix_csv(spec.G1, tmp_path / "g1.csv")
+    save_matrix_json(spec.G2, tmp_path / "g2.json")
     model_obj = {
         "agents": [
             {"A": matkit.matrix_to_json(A), "B": matkit.matrix_to_json(B)}
@@ -53,7 +49,7 @@ def toy_files(tmp_path):
         },
     }
     (tmp_path / "model.json").write_text(json.dumps(model_obj))
-    matkit.save_matrix_csv(x0.reshape(-1, 1), tmp_path / "x0.csv")
+    save_matrix_csv(x0.reshape(-1, 1), tmp_path / "x0.csv")
     return tmp_path, spec, model, x0
 
 
@@ -87,9 +83,9 @@ def test_decompose_solve_roundtrip(toy_files):
 def test_decompose_splits_repeated_noncommuting_pair(tmp_path, capsys):
     # G1 repeats an eigenvalue and does not commute with G2, yet both leave
     # span{e2} and span{e1, e3} invariant
-    matkit.save_matrix_csv(np.diag([1.0, 1.0, 2.0]), tmp_path / "g1.csv")
-    matkit.save_matrix_csv([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]],
-                           tmp_path / "g2.csv")
+    save_matrix_csv(np.diag([1.0, 1.0, 2.0]), tmp_path / "g1.csv")
+    save_matrix_csv([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]],
+                    tmp_path / "g2.csv")
     capsys.readouterr()
     assert cli.main(["decompose", "--g1", str(tmp_path / "g1.csv"), "--g2",
                      str(tmp_path / "g2.csv"), "--out", str(tmp_path / "plan.json")]) == 0
@@ -180,8 +176,8 @@ def test_bench_command(tmp_path):
 
 def test_precondition_exit_code(tmp_path):
     # G2 not positive definite trips the decomposition precondition
-    matkit.save_matrix_csv(np.eye(2), tmp_path / "g1.csv")
-    matkit.save_matrix_csv(np.diag([1.0, 0.0]), tmp_path / "g2.csv")
+    save_matrix_csv(np.eye(2), tmp_path / "g1.csv")
+    save_matrix_csv(np.diag([1.0, 0.0]), tmp_path / "g2.csv")
     rc = cli.main([
         "decompose", "--g1", str(tmp_path / "g1.csv"),
         "--g2", str(tmp_path / "g2.csv"), "--out", str(tmp_path / "p.json"),
@@ -205,7 +201,7 @@ def _bad_input_argv(tmp, case):
     decompose = ["decompose", "--g1", f("g1.csv"), "--g2", f("g2.json"), "--out", f("plan.json")]
     solve = ["solve", "--spec", f("spec.json"), "--plan", f("plan.json"), "--out", f("gain.json")]
     if case == "empty-g1-g2":
-        matkit.save_matrix_json(np.zeros((0, 0)), tmp / "empty.json")
+        save_matrix_json(np.zeros((0, 0)), tmp / "empty.json")
         return ["decompose", "--g1", f("empty.json"), "--g2", f("empty.json"),
                 "--out", f("plan.json")]
     if case == "zero-agent-spec":
@@ -238,7 +234,7 @@ def _bad_input_argv(tmp, case):
         (tmp / "gain.json").write_text(json.dumps({"K": matkit.matrix_to_json(K[:-1])}))
     else:
         x0 = matkit.load_vector(tmp / "x0.csv")
-        matkit.save_matrix_csv(x0[:-1].reshape(-1, 1), tmp / "x0.csv")
+        save_matrix_csv(x0[:-1].reshape(-1, 1), tmp / "x0.csv")
     return ["robust", "--plan", f("plan.json"), "--model", f("model.json"),
             "--gain", f("gain.json"), "--x0", f("x0.csv"), "--out", f("report.json")]
 
@@ -295,8 +291,8 @@ def _solve_agent_pair(tmp, A, B, mode):
                 "R0": matkit.matrix_to_json(np.eye(m)), "A": matkit.matrix_to_json(A),
                 "B": matkit.matrix_to_json(B)}
     (tmp / "spec.json").write_text(json.dumps(spec_obj))
-    matkit.save_matrix_csv(G1, tmp / "g1.csv")
-    matkit.save_matrix_csv(np.eye(2), tmp / "g2.csv")
+    save_matrix_csv(G1, tmp / "g1.csv")
+    save_matrix_csv(np.eye(2), tmp / "g2.csv")
     assert cli.main(["decompose", "--g1", str(tmp / "g1.csv"), "--g2",
                      str(tmp / "g2.csv"), "--out", str(tmp / "plan.json")]) == 0
     return cli.main(["solve", "--spec", str(tmp / "spec.json"), "--plan",
@@ -338,9 +334,6 @@ def test_cli_import_skips_scipy():
     # initial gain, a two-agent hierarchical solve, a benchmark draw, a
     # heterogeneous model or gain assembly pulls in any scipy module, and
     # that the first Lyapunov solve (evaluate_cost) then loads scipy.linalg
-    src = str(Path(hlqr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = "\n".join([
         "import sys, numpy as np, hlqr.cli",
         "from hlqr.bench import BenchConfig, build_example, derive_initial_gain",
@@ -363,6 +356,4 @@ def test_cli_import_skips_scipy():
         "evaluate_cost(big_A - big_B @ K, np.eye(4), np.ones(4))",
         "print('scipy.linalg' in sys.modules)",
     ])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert run_fresh_python(code).split("\n")[:2] == ["[]", "True"]

@@ -14,7 +14,13 @@ from hlqr.errors import (
     PreconditionFailed,
     SolverDiverged,
 )
-from conftest import random_controllable, random_spd, random_symmetric
+from conftest import (
+    random_controllable,
+    random_spd,
+    random_symmetric,
+    save_matrix_csv,
+    save_matrix_json,
+)
 
 PATH2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -469,19 +475,19 @@ class TestMatrixIO:
     def test_csv_roundtrip(self, rng, tmp_path):
         M = rng.standard_normal((3, 5))
         path = tmp_path / "m.csv"
-        matkit.save_matrix_csv(M, path)
+        save_matrix_csv(M, path)
         np.testing.assert_array_equal(matkit.load_matrix_csv(path), M)
 
     def test_json_roundtrip(self, rng, tmp_path):
         M = rng.standard_normal((4, 2)) * 1e-7
         path = tmp_path / "m.json"
-        matkit.save_matrix_json(M, path)
+        save_matrix_json(M, path)
         np.testing.assert_array_equal(matkit.load_matrix_json(path), M)
 
     def test_dispatch_by_extension(self, rng, tmp_path):
         M = rng.standard_normal((2, 2))
-        for name, save in (("m.csv", matkit.save_matrix_csv),
-                           ("m.json", matkit.save_matrix_json)):
+        for name, save in (("m.csv", save_matrix_csv),
+                           ("m.json", save_matrix_json)):
             save(M, tmp_path / name)
             np.testing.assert_array_equal(matkit.load_matrix(tmp_path / name), M)
 

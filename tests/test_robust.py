@@ -17,7 +17,7 @@ from hlqr.robust import (
     robust_report,
     small_gain_check,
 )
-from conftest import random_laplacian, random_stable
+from conftest import random_laplacian, random_stable, run_fresh_python
 
 
 def scalar_pair_spec():
@@ -305,6 +305,56 @@ class TestHinfNorm:
             full, full_rounds = certify(sys, tol, sys.A.shape[0])
             assert abs(trimmed - full) <= tol * full
             assert trimmed_rounds <= full_rounds
+
+    def test_certify_systems_take_few_rounds(self, monkeypatch):
+        # the four H-infinity systems of one N=20 certification start the
+        # Hamiltonian test from a refined peak: at most one extra round in
+        # all, and the refinement never ends below the best probe
+        spec, plan, model, x0 = msd_network(20, 11)
+        crossings, refine = robust._axis_crossings, robust._refine_peak
+        rounds, refined = [], []
+
+        def counted(sys, gamma):
+            rounds.append(gamma)
+            return crossings(sys, gamma)
+
+        def checked(sigma, probes):
+            best = max(sigma(w) for w in probes)
+            refined.append((refine(sigma, probes), best))
+            return refined[-1][0]
+
+        monkeypatch.setattr(robust, "_axis_crossings", counted)
+        monkeypatch.setattr(robust, "_refine_peak", checked)
+        robust_report(model, plan, spec, x0)
+        assert len(refined) == 4
+        assert len(rounds) <= 5
+        assert all(value >= best for value, best in refined)
+
+    @pytest.mark.parametrize("center", [0.92, 40.0, 5e-3, 150.0])
+    def test_refine_peak_finds_bracketed_peak(self, center):
+        # a smooth peak between probes, beside a duplicated probe, below the
+        # first positive probe or above the last: the golden-section search
+        # stops at a coarse bracket, but never below the best probe
+        def sigma(w):
+            return 1.0 / (1.0 + 25.0 * np.log(w / center) ** 2) if w > 0 else 0.0
+
+        probes = np.array([0.0, 0.8895, 0.8895, 0.8683, *np.logspace(-2, 2, 9)])
+        best = max(sigma(w) for w in probes)
+        value = robust._refine_peak(sigma, probes)
+        assert best <= value
+        assert value == pytest.approx(1.0, rel=1e-4)
+
+    def test_hinf_norm_skips_scipy_optimize(self):
+        # the peak refinement is numpy code: a fresh interpreter shows that
+        # a hinf_norm call loads scipy.linalg but not scipy.optimize
+        code = "\n".join([
+            "import sys, numpy as np",
+            "from hlqr.robust import LtiSystem, hinf_norm",
+            "A = np.array([[0.0, 1.0], [-1.0, -0.1]])",
+            "hinf_norm(LtiSystem(A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])))",
+            "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules)",
+        ])
+        assert run_fresh_python(code).split() == ["True", "False"]
 
     def test_dominant_mode_outside_resonant_probes(self):
         # the five most lightly damped modes are not the peak: the mode at
