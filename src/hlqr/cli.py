@@ -7,7 +7,7 @@ File formats (all matrices are headerless CSV or ``{"rows","cols","data"}``
 JSON, chosen by extension):
 
 * spec file (JSON): ``{"N","n","m","G1","G2","Q0","R0","A","B"}`` where
-  A/B give the nominal agent model: the hidden simulation plant in
+  A/B (n x n, n x m) give the nominal agent model: the hidden simulation plant in
   model-free mode and the cluster plants in model-based mode.
 * model file (JSON): ``{"agents":[{"A":..,"B":..},...],
   "weights":{"G1":..,"G2":..,"Q0":..,"R0":..}}``.

@@ -74,19 +74,18 @@ def kleinman_pi(A, B, Q, R, K0):
 
 def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.ndarray:
     """Reassemble the global gain K = (T' (x) I_m) diag(k_1..k_r) (T (x) I_n)
-    from per-cluster gains k_i of size (m N_i) x (n N_i) by ``decomp.lift``."""
+    from per-cluster gains k_i of size (m N_i) x (n N_i) by ``decomp.lift``:
+    the rows k_i (T_i (x) I_n) of each cluster's rows T_i of T, stacked, then
+    T' applied once, so diag(k_1..k_r) is never formed."""
     if len(cluster_gains) != plan.r:
         raise DimensionMismatch(f"expected {plan.r} cluster gains, got {len(cluster_gains)}")
-    gains = []
-    for size, K in zip(plan.cluster_sizes, cluster_gains):
+    rows = []
+    for off, size, K in zip(plan.offsets(), plan.cluster_sizes, cluster_gains):
         K = matkit.as_matrix(K, "cluster gain")
         if K.shape != (m * size, n * size):
-            raise DimensionMismatch(
-                f"cluster gain shape {K.shape}, expected {(m * size, n * size)}"
-            )
-        gains.append(K)
-    kappa = matkit.block_diag(*gains)
-    return lift(plan.T.T, m, lift(plan.T.T, n, kappa.T).T)
+            raise DimensionMismatch(f"cluster gain {K.shape}, expected {(m * size, n * size)}")
+        rows.append(lift(plan.T[off:off + size].T, n, K.T).T)
+    return lift(plan.T.T, m, np.vstack(rows))
 
 
 def _embedded_cluster(f_global, Tc: np.ndarray, n: int, m: int):
@@ -104,34 +103,35 @@ def _embedded_cluster(f_global, Tc: np.ndarray, n: int, m: int):
 
 
 def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
-    """Per-cluster simulation targets for a homogeneous agent model, a
-    global (possibly heterogeneous) model, or a black-box callable.
+    """Per-cluster simulation targets for a homogeneous agent model, the
+    agent blocks (A_i, B_i) of a heterogeneous model, or a black-box callable.
 
-    For a global model the cluster plant is the corresponding diagonal
-    block of the transformed dynamics (exact for homogeneous plants, the
-    block-diagonal approximation otherwise). For an agent model, clusters
-    of equal size share one plant object, I_s (x) (A, B). The closure of
-    a black-box plant holds its cluster's rows of T (``decomp.lift``).
-    """
+    Clusters of equal size share one agent model's plant, I_s (x) (A, B). From
+    agent blocks, the cluster with rows T_c of T gets the diagonal block
+    sum_i T_c[:, i] T_c[:, i]' (x) (A_i, B_i) of the transformed dynamics (exact
+    for identical agents, the block-diagonal approximation otherwise) by one
+    broadcast product and one matmul, never reading the dense A/B. Coupled
+    global dynamics go in as a callable, whose closure per cluster holds T_c."""
     n, m, N = spec.n, spec.m, spec.N
-    blocks = [(plan.T[off:off + s], slice(n * off, n * (off + s)))
-              for off, s in zip(plan.offsets(), plan.cluster_sizes)]
+    rows = [plan.T[off:off + s] for off, s in zip(plan.offsets(), plan.cluster_sizes)]
     if callable(plant) and not hasattr(plant, "A"):
-        return [_embedded_cluster(plant, Tc, n, m) for Tc, _ in blocks]
+        return [_embedded_cluster(plant, Tc, n, m) for Tc in rows]
+    if hasattr(plant, "A_blocks"):
+        A, B = (np.asarray(X, dtype=float) for X in (plant.A_blocks, plant.B_blocks))
+        if A.shape != (N, n, n) or B.shape != (N, n, m):
+            raise DimensionMismatch(f"agent blocks {A.shape}, {B.shape}; N, n, m = {N, n, m}")
+
+        def block(Tc, X):  # entry ((a, p), (b, q)) = sum_i Tc[a, i] Tc[b, i] X_i[p, q]
+            lifted = Tc @ (Tc.T[:, None, :, None] * X[:, :, None, :]).reshape(N, -1)
+            return lifted.reshape(n * len(Tc), -1)
+        return [AgentModel(block(Tc, A), block(Tc, B)) for Tc in rows]
     A = matkit.require_square(plant.A, "plant.A")
     B = matkit.as_matrix(plant.B, "plant.B")
-    if A.shape == (n, n) and B.shape == (n, m):
-        by_size = {
-            s: AgentModel(matkit.kron(np.eye(s), A), matkit.kron(np.eye(s), B))
-            for s in set(plan.cluster_sizes)
-        }
-        return [by_size[s] for s in plan.cluster_sizes]
-    if A.shape == (n * N, n * N) and B.shape == (n * N, m * N):
-        # T on the left once: per cluster, each product would read all of A
-        TA, TB = lift(plan.T, n, A), lift(plan.T, n, B)
-        return [AgentModel(lift(Tc, n, TA[rows].T).T, lift(Tc, m, TB[rows].T).T)
-                for Tc, rows in blocks]
-    raise DimensionMismatch("plant dimensions match neither one agent nor the global system")
+    if A.shape != (n, n) or B.shape != (n, m):
+        raise DimensionMismatch(f"plant {A.shape}, {B.shape} is not one agent's ({n}, {m})")
+    by_size = {s: AgentModel(matkit.kron(np.eye(s), A), matkit.kron(np.eye(s), B))
+               for s in set(plan.cluster_sizes)}
+    return [by_size[s] for s in plan.cluster_sizes]
 
 
 def hierarchical_model_based(spec: LqrSpec, plan: DecompositionPlan, plant):

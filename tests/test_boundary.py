@@ -2,9 +2,12 @@
 
 The model-free boundary: the learner in ``hlqr.rl`` reads plant matrices
 in one place only. ``_closed_loop`` reads A/B to build a simulation step
-map; nothing else in the module, the decay probe included, may read them.
-Cluster plants are sliced from a model by ``hlqr.lqr.cluster_plants``,
-which ``hlqr.rl`` imports and binds as ``rl.cluster_plants``.
+map; nothing else in the module, the decay probe included, may read them,
+and it never reads a heterogeneous model's agent blocks ``A_blocks`` and
+``B_blocks``. Cluster plants are sliced from a model by
+``hlqr.lqr.cluster_plants``, which ``hlqr.rl`` imports and binds as
+``rl.cluster_plants``; it builds them from the agent blocks, so the solve
+path never reads a ``HeteroModel``'s dense global ``A`` and ``B``.
 
 One model-free pipeline: inside ``src/hlqr`` only ``hlqr.rl`` calls
 ``collect_batch`` and ``_lockstep_pi``, and only ``hlqr.decomp`` constructs
@@ -14,7 +17,8 @@ the benchmark's global baseline included, goes through
 
 One lift operator: T acts on the agent axis through ``decomp.lift`` alone,
 so no module of ``src/hlqr`` forms the dense T (x) I_d (``kron_lift``, the
-reference tests compare ``lift`` against).
+reference tests compare ``lift`` against), and ``lqr.assemble_gain`` forms
+no block-diagonal diag(k_1..k_r).
 
 The public API: every name in ``hlqr.__all__`` resolves, and every function
 the benchmark's tracer wraps by name (``TRACED`` in ``perfbench/spans.py``)
@@ -24,9 +28,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import hlqr
 import hlqr.lqr
 import hlqr.rl
+from hlqr.decomp import LqrSpec, construct_T
+from hlqr.robust import HeteroModel
 
 ALLOWED = {"_closed_loop"}
 # pipeline stage -> the modules of src/hlqr that may call it
@@ -44,6 +52,40 @@ def test_plant_matrices_read_only_by_map_builder():
     ]
     assert [(owner, line) for owner, line in reads if owner not in ALLOWED] == []
     assert {owner for owner, _ in reads} == ALLOWED  # the walk finds the allowed reads
+
+
+def agent_block_reads(path) -> list:
+    """Line numbers of the reads of ``A_blocks``/``B_blocks`` in a module, by
+    attribute or by name."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(Path(path).read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("A_blocks", "B_blocks"))
+        or (isinstance(node, ast.Constant) and node.value in ("A_blocks", "B_blocks"))
+    ]
+
+
+def test_learner_never_reads_agent_blocks():
+    assert agent_block_reads(hlqr.rl.__file__) == []
+    assert agent_block_reads(hlqr.lqr.__file__)  # the walk finds cluster_plants' reads
+
+
+def test_solve_path_never_reads_dense_model():
+    # the same solve with the dense global A and B taken away
+    N = 3
+    G1 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    spec = LqrSpec(N, 2, 1, G1, np.diag([1.0, 2.0, 3.0]), np.eye(2), np.eye(1))
+    plan = construct_T(spec.G1, spec.G2)
+    assert max(plan.cluster_sizes) >= 2
+    model = HeteroModel(
+        [np.array([[0.0, 1.0], [-k, -c]]) for k, c in ((1.0, 0.5), (1.2, 0.4), (0.9, 0.6))],
+        [np.array([[0.0], [1.0]])] * N)
+    config = hlqr.rl.HierarchicalConfig(
+        initial_gains=[np.kron(np.eye(s), [[1.0, 1.0]]) for s in plan.cluster_sizes])
+    K, _ = hlqr.rl.hierarchical_solve(spec, plan, model, config)
+    model.A = model.B = None
+    K_blind, _ = hlqr.rl.hierarchical_solve(spec, plan, model, config)
+    assert np.array_equal(K_blind, K)
 
 
 def package_calls(names) -> set:
@@ -69,6 +111,7 @@ def test_one_model_free_pipeline():
 def test_no_dense_lift_in_package():
     calls = package_calls({"kron_lift", "lift"})
     assert {module for module, name in calls if name == "kron_lift"} == set()
+    assert ("lqr", "block_diag") not in package_calls({"block_diag"})
     # the walk finds the lift calls of the consumers
     assert {("lqr", "lift"), ("robust", "lift")} <= calls
 

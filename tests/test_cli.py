@@ -101,7 +101,15 @@ def _unverifiable_g1(spec_obj):
     spec_obj["G1"] = matkit.matrix_to_json(np.diag([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("edit", [_drop_agent_model, _unverifiable_g1])
+def _dense_global_model(spec_obj):
+    # spec A/B are one agent's; the block-diagonal global pair is refused
+    N = spec_obj["N"]
+    for key in ("A", "B"):
+        spec_obj[key] = matkit.matrix_to_json(
+            np.kron(np.eye(N), matkit.matrix_from_json(spec_obj[key])))
+
+
+@pytest.mark.parametrize("edit", [_drop_agent_model, _unverifiable_g1, _dense_global_model])
 @pytest.mark.parametrize("mode", ["model-based", "model-free"])
 def test_solve_rejects_spec_with_exit_2(toy_files, mode, edit):
     tmp = toy_files[0]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hlqr import matkit
+from hlqr import lqr, matkit
 from hlqr.decomp import DecompositionPlan, LqrSpec, construct_T, project_problem
-from hlqr.errors import K0NotStabilizing, PreconditionFailed
+from hlqr.errors import K0NotStabilizing, MaxIterExceeded, PreconditionFailed
 from hlqr.lqr import (
     AgentModel,
     assemble_gain,
@@ -83,12 +83,16 @@ class TestKleinman:
         np.testing.assert_allclose(K, [[1.0]], atol=1e-12)
         assert len(iters) <= 2
 
-    def test_double_integrator(self):
+    def test_double_integrator(self, monkeypatch):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([[0.0], [1.0]])
         P, K, iters = kleinman_pi(A, B, np.eye(2), np.eye(1), [[1.0, 2.0]])
         np.testing.assert_allclose(K, [[1.0, np.sqrt(3.0)]], atol=1e-8)
         assert len(iters) <= 10
+        # one step cannot show convergence
+        monkeypatch.setattr(lqr, "KLEINMAN_MAX_ITER", 1)
+        with pytest.raises(MaxIterExceeded):
+            kleinman_pi(A, B, np.eye(2), np.eye(1), [[1.0, 2.0]])
 
     def test_rejects_marginal_initial_gain(self):
         with pytest.raises(K0NotStabilizing):
@@ -135,6 +139,17 @@ class TestAssembleGain:
         k0 = rng.standard_normal((m, n))
         K = assemble_gain(plan, [k0] * N, n, m)
         np.testing.assert_allclose(K, matkit.kron(np.eye(N), k0), atol=1e-12)
+
+    def test_matches_dense_sandwich(self, rng):
+        # (T' (x) I_m) diag(k_1..k_r) (T (x) I_n), formed densely
+        from hlqr.decomp import kron_lift
+
+        N, n, m, sizes = 6, 2, 3, (1, 2, 3)
+        T, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        gains = [rng.standard_normal((m * s, n * s)) for s in sizes]
+        K = assemble_gain(DecompositionPlan(T, sizes), gains, n, m)
+        dense = kron_lift(T, m).T @ matkit.block_diag(*gains) @ kron_lift(T, n)
+        assert np.linalg.norm(K - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def test_optimality_equivalence(self, rng):
         # per-cluster Riccati solves reassemble to the global solution

@@ -26,6 +26,7 @@ from hlqr.errors import (
     NonFinite,
     NotStabilizing,
     PreconditionFailed,
+    RegressionSingular,
 )
 from hlqr.lqr import AgentModel, assemble_gain, evaluate_cost
 from hlqr.rl import (
@@ -36,6 +37,7 @@ from hlqr.rl import (
     offpolicy_pi,
     simulate,
 )
+from hlqr.robust import HeteroModel
 from conftest import random_laplacian
 
 
@@ -728,7 +730,6 @@ def four_msd_clusters(rng):
     """G2 = I: four 4-state clusters of heterogeneous mass-spring-damper
     agents in one shape class, each collecting its own batch."""
     from hlqr.bench import derive_initial_gain
-    from hlqr.robust import HeteroModel
 
     pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (4, 3))]
     model = HeteroModel([A for A, _ in pairs], [B for _, B in pairs])
@@ -784,7 +785,8 @@ class TestHierarchicalSolve:
         calA, calB = np.zeros((2, 2)), np.eye(2)
         K0 = 1.5 * np.eye(2)
         config = HierarchicalConfig(initial_gains=[K0])
-        K, _ = hierarchical_solve(spec, plan, AgentModel(calA, calB), config)
+        # the agent model of the global pair (calA, calB) = I_2 (x) (0, 1)
+        K, _ = hierarchical_solve(spec, plan, AgentModel(np.zeros((1, 1)), np.eye(1)), config)
 
         problem = ClusterProblem(
             state_dim=2, input_dim=2, Qblock=spec.Q, Rblock=spec.R,
@@ -816,7 +818,6 @@ class TestHierarchicalSolve:
         # the hetero cluster plants' step maps come from their matrices,
         # those of the same dynamics as a black box from its evaluations
         from hlqr.bench import derive_initial_gain
-        from hlqr.robust import HeteroModel
 
         N = 4
         pairs = [msd_pair(*p) for p in 1.0 + rng.uniform(-0.05, 0.05, (N, 3))]
@@ -838,6 +839,26 @@ class TestHierarchicalSolve:
         plan = construct_T(spec.G1, spec.G2)
         with pytest.raises(PreconditionFailed):
             hierarchical_solve(spec, plan, SCALAR_PLANT, HierarchicalConfig())
+        # one initial gain per cluster
+        with pytest.raises(DimensionMismatch):
+            hierarchical_solve(spec, plan, SCALAR_PLANT,
+                               HierarchicalConfig(initial_gains=[np.array([[1.5]])]))
+
+    def test_singular_regression_tagged_with_cluster(self, monkeypatch):
+        # a condition limit no regression meets fails every cluster at its
+        # first iteration; the first one is reported, with exit code 3
+        from hlqr.cli import exit_code_for
+
+        spec = two_agent_spec()
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(initial_gains=[np.array([[1.5]])] * plan.r)
+        monkeypatch.setattr(rl, "REGRESSION_COND_LIMIT", 1.0)
+        with pytest.raises(ClusterFailure) as info:
+            hierarchical_solve(spec, plan, SCALAR_PLANT, config)
+        assert info.value.cluster_index == 0
+        assert isinstance(info.value.cause, RegressionSingular)
+        assert info.value.partial_stats == []
+        assert exit_code_for(info.value) == 3
 
     def test_unstable_initial_gain_tagged_with_cluster(self):
         spec = two_agent_spec()
@@ -896,10 +917,9 @@ class TestHierarchicalSolve:
         assert set(obj["perCluster"][0]) == {"size", "iters", "residual", "wallMs", "batchOf"}
 
     def test_hetero_plant_uses_block_diagonal_slice(self, rng):
-        # the cluster plants of a global plant, as a model or as a black box,
-        # are the diagonal blocks of the dense transformed dynamics
+        # the cluster plants of a heterogeneous plant, from its agent blocks or
+        # as a black box, are the diagonal blocks of the dense transformed dynamics
         from hlqr.decomp import kron_lift
-        from hlqr.robust import HeteroModel
 
         N, n, m = 3, 2, 1
         G1 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
@@ -921,6 +941,20 @@ class TestHierarchicalSolve:
             for got_A, got_B in ((plant.A, plant.B), (Af, Bf)):
                 assert np.linalg.norm(got_A - Axi[rs, rs]) <= 1e-14 * scale
                 assert np.linalg.norm(got_B - Bxi[rs, cs]) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("plant", [
+        HeteroModel([np.zeros((2, 2))] * 2, [np.ones((2, 1))] * 2),  # N = 2, not 3
+        HeteroModel([np.zeros((1, 1))] * 3, [np.ones((1, 1))] * 3),  # n = 1, not 2
+        HeteroModel([np.zeros((2, 2))] * 3, [np.ones((2, 2))] * 3),  # m = 2, not 1
+        AgentModel(np.zeros((6, 6)), np.ones((6, 3))),  # the dense global pair
+    ], ids=["agent-count", "state-dim", "input-dim", "dense-global"])
+    def test_cluster_plants_reject_models_off_the_spec(self, plant):
+        # agent blocks must match the spec's (N, n, m); an agent model is one
+        # agent, so coupled or global dynamics go in as a callable
+        spec = LqrSpec(3, 2, 1, np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2), np.eye(1))
+        plan = construct_T(spec.G1, spec.G2)
+        with pytest.raises(DimensionMismatch):
+            rl.cluster_plants(plant, plan, spec)
 
     def test_callable_clusters_hold_rows_of_T(self):
         # the closures of a black-box plant hold their clusters' rows of T,
@@ -945,8 +979,6 @@ class TestHierarchicalSolve:
     def test_callable_clusters_of_one_shape_collect_together(self, rng, monkeypatch):
         # G2 = I: four size-1 clusters of a black-box plant x' = u form one
         # shape class, probed and collected in one stacked call each
-        from hlqr.robust import HeteroModel
-
         N = 4
         spec = formation_spec(rng, N)
         plan = construct_T(spec.G1, spec.G2)
@@ -996,8 +1028,6 @@ class TestHierarchicalSolve:
         assert abs(J - J_each) <= 1e-3 * abs(J_each)
 
     def test_hetero_slices_never_group(self, rng, monkeypatch):
-        from hlqr.robust import HeteroModel
-
         N = 4
         spec = formation_spec(rng, N)
         plan = construct_T(spec.G1, spec.G2)
@@ -1131,8 +1161,6 @@ class TestHierarchicalSolve:
         # stacked probe, cluster 3 (zero excitation) fails the stacked
         # collection; cluster 2 is reported, after clusters 0 and 1
         from dataclasses import replace
-
-        from hlqr.robust import HeteroModel
 
         N = 4
         spec = formation_spec(rng, N)
