@@ -74,18 +74,47 @@ def kleinman_pi(A, B, Q, R, K0):
 
 def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.ndarray:
     """Reassemble the global gain K = (T' (x) I_m) diag(k_1..k_r) (T (x) I_n)
-    from per-cluster gains k_i of size (m N_i) x (n N_i) by ``decomp.lift``:
-    the rows k_i (T_i (x) I_n) of each cluster's rows T_i of T, stacked, then
-    T' applied once, so diag(k_1..k_r) is never formed."""
+    from per-cluster gains k_i of size (m N_i) x (n N_i), so diag(k_1..k_r)
+    is never formed. Per cluster size s, the gains of that size are stacked
+    and their rows k_c (T_c (x) I_n), with T_c the cluster's s rows of T,
+    come from one batched product; one ``decomp.lift`` by those rows of T
+    adds the size class's share of K."""
     if len(cluster_gains) != plan.r:
         raise DimensionMismatch(f"expected {plan.r} cluster gains, got {len(cluster_gains)}")
-    rows = []
-    for off, size, K in zip(plan.offsets(), plan.cluster_sizes, cluster_gains):
+    T, N = plan.T, plan.T.shape[1]
+    classes: dict[int, list[int]] = {}
+    for c, size in enumerate(plan.cluster_sizes):
+        classes.setdefault(size, []).append(c)
+    stacks = {s: _gain_stack([cluster_gains[c] for c in members], m * s, n * s)
+              for s, members in classes.items()}
+    offsets = np.asarray(plan.offsets())
+    K = None
+    for s, members in classes.items():
+        Tc = T[(offsets[members][:, None] + np.arange(s)).ravel()]
+        # entry (c, a, p, j, q) = sum_b T_c[b, j] k_c[(a, p), (b, q)]
+        lifted = (Tc.reshape(len(members), s, N).swapaxes(1, 2)[:, None, None]
+                  @ stacks[s].reshape(len(members), s, m, s, n))
+        part = lift(Tc.T, m, lifted.reshape(-1, N * n))
+        K = part if K is None else np.add(K, part, out=K)
+    return K
+
+
+def _gain_stack(gains, rows: int, cols: int) -> np.ndarray:
+    """The cluster gains of one size as a finite (count, rows, cols) stack.
+    A gain that is not 2-d, not finite or not rows x cols raises the error
+    ``matkit.as_matrix`` or the shape check gives it alone."""
+    try:
+        stack = np.asarray(gains, dtype=float)
+    except ValueError:  # ragged
+        stack = None
+    if (stack is not None and stack.shape == (len(gains), rows, cols)
+            and np.isfinite(stack).all()):
+        return stack
+    for K in gains:
         K = matkit.as_matrix(K, "cluster gain")
-        if K.shape != (m * size, n * size):
-            raise DimensionMismatch(f"cluster gain {K.shape}, expected {(m * size, n * size)}")
-        rows.append(lift(plan.T[off:off + size].T, n, K.T).T)
-    return lift(plan.T.T, m, np.vstack(rows))
+        if K.shape != (rows, cols):
+            raise DimensionMismatch(f"cluster gain {K.shape}, expected {(rows, cols)}")
+    return np.stack([matkit.as_matrix(K) for K in gains])
 
 
 def _embedded_cluster(f_global, Tc: np.ndarray, n: int, m: int):
@@ -137,8 +166,9 @@ def cluster_plants(plant, plan: DecompositionPlan, spec: LqrSpec):
 def hierarchical_model_based(spec: LqrSpec, plan: DecompositionPlan, plant):
     """One Riccati solve per cluster plant (``cluster_plants``) and weights
     (``project_problem``), reassembled: the global LQR gain for identical
-    agents. Returns (K, [(P_i, k_i)]); a callable plant raises PreconditionFailed."""
-    if not hasattr(plant, "A"):
+    agents. Returns (K, [(P_i, k_i)]); a callable plant raises PreconditionFailed.
+    Agent blocks are probed first, so a ``HeteroModel``'s dense A/B is not built."""
+    if not (hasattr(plant, "A_blocks") or hasattr(plant, "A")):
         raise PreconditionFailed("a model-based solve needs the plant's A/B matrices")
     solved = [matkit.solve_are(c.A, c.B, p.Qblock, p.Rblock) for p, c in
               zip(project_problem(spec, plan), cluster_plants(plant, plan, spec))]

@@ -86,8 +86,12 @@ def spectral_abscissa(A) -> float:
 
 
 def kron(A, B) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is A[i, j] * B."""
-    return np.kron(as_matrix(A, "A"), as_matrix(B, "B"))
+    """Kronecker product: block (i, j) of the result is A[i, j] * B. One
+    broadcast product, entry for entry that of ``np.kron`` without its
+    per-call overhead on small blocks."""
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
+    (p, q), (s, t) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * s, q * t)
 
 
 def sym_eig(M, tol: float = DEFAULT_TOL) -> SymEig:

@@ -545,18 +545,57 @@ def _phi(X: np.ndarray, tri) -> np.ndarray:
     return X[:, iu] * X[:, ju]
 
 
+def _solve_regressions(aug: np.ndarray):
+    """Least-squares solutions of an (a, L, q + 1) stack of augmented
+    regressions [theta | rhs], and per regression None or the error that
+    rejects it.
+
+    One stacked QR factorization of the augmented matrices gives R only,
+    never Q: its leading q x q block is the triangular factor of theta and
+    the first q entries of its last column are Q' rhs (Golub & Van Loan,
+    Matrix Computations, sec. 5.3). The singular values of that triangle,
+    which are theta's, feed the condition check, and the accepted
+    triangles are solved in one stacked call. A regression with a
+    non-finite entry fails alone with ``LinAlgError`` before the stacked
+    calls; one whose smallest singular value is not positive or whose
+    condition exceeds ``REGRESSION_COND_LIMIT`` fails with
+    ``RegressionSingular``. The factorizations run matrix by matrix, so a
+    regression gets the same bits in any stack."""
+    a, q = aug.shape[0], aug.shape[2] - 1
+    sol = np.zeros((a, q))
+    errors: list = [None] * a
+    finite = np.isfinite(aug).all(axis=(1, 2))
+    for j in np.flatnonzero(~finite):
+        errors[j] = np.linalg.LinAlgError("regression has non-finite entries")
+    live = np.flatnonzero(finite)
+    Rf = np.linalg.qr(aug[live], mode="r")
+    tri, qtb = Rf[:, :q, :q], Rf[:, :q, q]
+    sv = np.linalg.svd(tri, compute_uv=False)
+    cond = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
+    # a condition at most REGRESSION_COND_LIMIT = 1e10 puts every singular
+    # value above lstsq's rank cutoff eps max(L, q) sigma_max for any
+    # L < 4.5e5 windows, so an accepted regression has full rank q
+    bad = (sv[:, -1] <= 0) | (cond > REGRESSION_COND_LIMIT)
+    for j, c in zip(live[bad], cond[bad]):
+        errors[j] = RegressionSingular(f"regression condition {c:.3e}")
+    good = ~bad
+    sol[live[good]] = np.linalg.solve(tri[good], qtb[good, :, None])[..., 0]
+    return sol, errors
+
+
 def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterProblem],
                  plants, deadline: float | None = None) -> list:
     """Off-policy policy iteration of r clusters of one shape in lockstep.
 
     Cluster i learns from ``batches[i]``; clusters may share a batch
     object, whose data terms are then formed once. Every iteration stacks
-    the regressions of the clusters still active and solves each with its
-    own ``lstsq`` (a batched SVD solve is no faster on a stack of small
-    regressions and slower on one large one). A cluster leaves the active
-    set when it converges or fails, and the others go on; the deadline is
-    checked once per iteration. The converged gains end in one stacked
-    decay probe over ``plants`` (a list of r plants).
+    the regressions of the clusters still active, each with its
+    right-hand side as one more column, and solves them all by one stacked
+    QR factorization, condition check and triangular solve
+    (``_solve_regressions``). A cluster leaves the active set when it
+    converges or fails, and the others go on; the deadline is checked once
+    per iteration. The converged gains end in one stacked decay probe over
+    ``plants`` (a list of r plants).
 
     Returns, per cluster, (K, P, history) or the error that ended it.
     """
@@ -585,11 +624,13 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     ixu_t = ixu.swapaxes(2, 3)
     tri = np.triu_indices(n)
     d1 = tri[0].size
-    # theta is [phi(x_end) - phi(x_start), -2 R (ixu' + K ixx)] per window;
-    # its first block does not change between iterations
-    theta = np.empty((r, L, d1 + m * n))
+    # each window's row of the augmented regression [theta | rhs] is
+    # [phi(x_end) - phi(x_start), -2 R (ixu' + K ixx), rhs]; the first
+    # block does not change between iterations
+    q = d1 + m * n
+    aug = np.empty((r, L, q + 1))
     for s, b in enumerate(distinct):
-        theta[src == s, :, :d1] = _phi(b.x_end, tri) - _phi(b.x_start, tri)
+        aug[src == s, :, :d1] = _phi(b.x_end, tri) - _phi(b.x_start, tri)
     results: list = [None] * r
     history: list[list] = [[] for _ in range(r)]
     converged: list[int] = []
@@ -604,20 +645,12 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
         # a single batch broadcasts over the clusters
         at = src[live] if len(distinct) > 1 else slice(None)
         cross = R[live, None] @ (ixu_t[at] + K[:, None] @ ixx[at])   # (a, L, m, n)
-        theta[live, :, d1:] = -2.0 * cross.reshape(live.size, L, -1)
-        rhs = -np.einsum("rlij,rij->rl", ixx[at],
-                         matkit.symmetrize(Q[live] + K.swapaxes(1, 2) @ R[live] @ K))
-        sol = np.zeros((live.size, d1 + m * n))
-        for j, i in enumerate(live):
-            try:
-                sol[j], _, rank, sv = np.linalg.lstsq(theta[i], rhs[j], rcond=None)
-            except np.linalg.LinAlgError as exc:
-                results[i] = exc
-                continue
-            if rank < theta.shape[2] or sv[-1] <= 0 or sv[0] / sv[-1] > REGRESSION_COND_LIMIT:
-                results[i] = RegressionSingular(
-                    f"regression condition {sv[0] / max(sv[-1], np.finfo(float).tiny):.3e}"
-                )
+        aug[live, :, d1:q] = -2.0 * cross.reshape(live.size, L, -1)
+        aug[live, :, q] = -np.einsum("rlij,rij->rl", ixx[at],
+                                     matkit.symmetrize(Q[live] + K.swapaxes(1, 2) @ R[live] @ K))
+        sol, errors = _solve_regressions(aug[live])
+        for i, exc in zip(live, errors):
+            results[i] = exc
         # off-diagonal monomial coefficients carry the factor 2
         P = np.zeros((live.size, n, n))
         P[:, tri[0], tri[1]] = sol[:, :d1]

@@ -12,7 +12,8 @@ solve (``matkit.solve_lyapunov``, behind ``h2_norm`` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,12 +36,12 @@ _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 @dataclass(eq=False)
 class HeteroModel:
     """Per-agent state-space pairs (A_i, B_i) with the assembled
-    block-diagonal global matrices ``A`` and ``B``, built once."""
+    block-diagonal global matrices ``A`` and ``B``, built on first read:
+    the model-free solve reads only the agent blocks, so only the dense
+    consumers (the oracle, the dense cost, the certificates) pay for them."""
 
     A_blocks: list[np.ndarray]
     B_blocks: list[np.ndarray]
-    A: np.ndarray = field(init=False, repr=False)
-    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.A_blocks or len(self.A_blocks) != len(self.B_blocks):
@@ -51,8 +52,14 @@ class HeteroModel:
         for A, B in zip(self.A_blocks, self.B_blocks):
             if A.shape != shape_a or B.shape != shape_b or B.shape[0] != shape_a[0]:
                 raise DimensionMismatch("all agents must share state/input dimensions")
-        self.A = matkit.block_diag(*self.A_blocks)
-        self.B = matkit.block_diag(*self.B_blocks)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return matkit.block_diag(*self.A_blocks)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return matkit.block_diag(*self.B_blocks)
 
     @property
     def N(self) -> int:

@@ -7,7 +7,8 @@ and it never reads a heterogeneous model's agent blocks ``A_blocks`` and
 ``B_blocks``. Cluster plants are sliced from a model by
 ``hlqr.lqr.cluster_plants``, which ``hlqr.rl`` imports and binds as
 ``rl.cluster_plants``; it builds them from the agent blocks, so the solve
-path never reads a ``HeteroModel``'s dense global ``A`` and ``B``.
+path never reads a ``HeteroModel``'s dense global ``A`` and ``B``, which
+are built on first read and so stay unbuilt through a solve.
 
 One model-free pipeline: inside ``src/hlqr`` only ``hlqr.rl`` calls
 ``collect_batch`` and ``_lockstep_pi``, and only ``hlqr.decomp`` constructs
@@ -70,8 +71,8 @@ def test_learner_never_reads_agent_blocks():
     assert agent_block_reads(hlqr.lqr.__file__)  # the walk finds cluster_plants' reads
 
 
-def test_solve_path_never_reads_dense_model():
-    # the same solve with the dense global A and B taken away
+def hetero_solve_inputs():
+    """Three damped oscillators whose plan has a cluster of size 2."""
     N = 3
     G1 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
     spec = LqrSpec(N, 2, 1, G1, np.diag([1.0, 2.0, 3.0]), np.eye(2), np.eye(1))
@@ -82,10 +83,25 @@ def test_solve_path_never_reads_dense_model():
         [np.array([[0.0], [1.0]])] * N)
     config = hlqr.rl.HierarchicalConfig(
         initial_gains=[np.kron(np.eye(s), [[1.0, 1.0]]) for s in plan.cluster_sizes])
+    return spec, plan, model, config
+
+
+def test_solve_path_never_reads_dense_model():
+    # the same solve with the dense global A and B taken away
+    spec, plan, model, config = hetero_solve_inputs()
     K, _ = hlqr.rl.hierarchical_solve(spec, plan, model, config)
     model.A = model.B = None
     K_blind, _ = hlqr.rl.hierarchical_solve(spec, plan, model, config)
     assert np.array_equal(K_blind, K)
+
+
+def test_solves_leave_dense_model_unbuilt():
+    # A and B are cached properties: building them stores them on the model
+    spec, plan, model, config = hetero_solve_inputs()
+    hlqr.rl.hierarchical_solve(spec, plan, model, config)
+    hlqr.lqr.hierarchical_model_based(spec, plan, model)
+    assert "A" not in vars(model) and "B" not in vars(model)
+    assert model.A.shape == (6, 6) and "A" in vars(model)
 
 
 def package_calls(names) -> set:

@@ -3,7 +3,7 @@ import pytest
 
 from hlqr import lqr, matkit
 from hlqr.decomp import DecompositionPlan, LqrSpec, construct_T, project_problem
-from hlqr.errors import K0NotStabilizing, MaxIterExceeded, PreconditionFailed
+from hlqr.errors import DimensionMismatch, K0NotStabilizing, MaxIterExceeded, PreconditionFailed
 from hlqr.lqr import (
     AgentModel,
     assemble_gain,
@@ -150,6 +150,31 @@ class TestAssembleGain:
         K = assemble_gain(DecompositionPlan(T, sizes), gains, n, m)
         dense = kron_lift(T, m).T @ matkit.block_diag(*gains) @ kron_lift(T, n)
         assert np.linalg.norm(K - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def test_interleaved_size_classes_match_dense_sandwich(self, rng):
+        from hlqr.decomp import kron_lift
+
+        N, n, m, sizes = 7, 2, 3, (2, 1, 2, 1, 1)
+        T, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        gains = [rng.standard_normal((m * s, n * s)) for s in sizes]
+        K = assemble_gain(DecompositionPlan(T, sizes), gains, n, m)
+        dense = kron_lift(T, m).T @ matkit.block_diag(*gains) @ kron_lift(T, n)
+        assert np.linalg.norm(K - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    def test_rejects_bad_cluster_gains(self):
+        plan = DecompositionPlan(np.eye(3), (1, 2))
+        good = [np.ones((1, 1)), np.ones((2, 2))]
+        with pytest.raises(DimensionMismatch, match=r"^expected 2 cluster gains, got 1"):
+            assemble_gain(plan, good[:1], 1, 1)
+        with pytest.raises(DimensionMismatch, match=r"^cluster gain \(2, 3\), expected \(2, 2\)"):
+            assemble_gain(plan, [good[0], np.ones((2, 3))], 1, 1)
+        with pytest.raises(PreconditionFailed, match="^cluster gain has non-finite entries"):
+            assemble_gain(plan, [good[0], np.full((2, 2), np.nan)], 1, 1)
+        with pytest.raises(DimensionMismatch, match="^cluster gain must be 2-d"):
+            assemble_gain(plan, [np.ones((1, 1, 1)), good[1]], 1, 1)
+        # a scalar is a 1 x 1 gain
+        np.testing.assert_array_equal(assemble_gain(plan, [2.0, np.eye(2)], 1, 1),
+                                      np.diag([2.0, 1.0, 1.0]))
 
     def test_optimality_equivalence(self, rng):
         # per-cluster Riccati solves reassemble to the global solution

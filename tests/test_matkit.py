@@ -74,6 +74,21 @@ class TestKron:
         )
         np.testing.assert_allclose(out, expected, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("a, b", [((3, 3), (4, 4)), ((2, 5), (3, 1)), ((1, 4), (2, 3)),
+                                      ((1, 1), (4, 4)), ((3, 2), (1, 1)), ((1, 1), (1, 1))],
+                             ids=["square", "rect", "row", "1x1-left", "1x1-right", "1x1"])
+    def test_equals_numpy_kron(self, rng, a, b):
+        A, B = rng.standard_normal(a), rng.standard_normal(b)
+        np.testing.assert_array_equal(matkit.kron(A, B), np.kron(A, B))
+
+    def test_rejects_non_finite_and_3d_inputs(self):
+        with pytest.raises(PreconditionFailed, match="^A has non-finite entries"):
+            matkit.kron([[np.nan]], np.eye(2))
+        with pytest.raises(PreconditionFailed, match="^B has non-finite entries"):
+            matkit.kron(np.eye(2), [[1.0, np.inf]])
+        with pytest.raises(DimensionMismatch, match="^B must be 2-d"):
+            matkit.kron(np.eye(2), np.ones((2, 2, 2)))
+
     @settings(deadline=None, max_examples=40)
     @given(p=dim, q=dim, r=dim, s=dim, seed=st.integers(0, 2**31))
     def test_mixed_product(self, p, q, r, s, seed):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -689,6 +690,73 @@ class TestOffPolicyPi:
         batch.rank = problem.q - 1
         with pytest.raises(PreconditionFailed):
             offpolicy_pi(batch, problem, plant=SCALAR_PLANT)
+
+
+def prescribed_regression(rng, L, sv):
+    """An L x q regression matrix with singular values ``sv``."""
+    U, _ = np.linalg.qr(rng.standard_normal((L, len(sv))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(sv), len(sv))))
+    return (U * sv) @ V.T
+
+
+class TestSolveRegressions:
+    L, q = 36, 18
+
+    def augmented(self, rng, conds):
+        return np.stack([
+            np.column_stack([prescribed_regression(rng, self.L, np.geomspace(1, 1 / c, self.q)),
+                             rng.standard_normal(self.L)])
+            for c in conds])
+
+    def test_stack_matches_per_regression_lstsq(self, rng):
+        aug = self.augmented(rng, [1.0, 1e2, 1e3])
+        sol, errors = rl._solve_regressions(aug)
+        assert errors == [None] * 3
+        for x, a in zip(sol, aug):
+            ref = np.linalg.lstsq(a[:, :-1], a[:, -1], rcond=None)[0]
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_condition_guard(self, rng):
+        aug = self.augmented(rng, [2e10, 5e9])
+        sol, errors = rl._solve_regressions(aug)
+        assert isinstance(errors[0], RegressionSingular)
+        assert re.fullmatch(r"regression condition 2\.000e\+10", str(errors[0]))
+        assert errors[1] is None and np.isfinite(sol[1]).all()
+
+    def test_non_finite_regression_fails_alone(self, rng):
+        aug = self.augmented(rng, [1.0, 10.0, 1e2])
+        aug[1, 3, -1] = np.nan
+        sol, errors = rl._solve_regressions(aug)
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        assert errors[0] is None and errors[2] is None
+        # each regression gets the bits it gets alone
+        for j in (0, 2):
+            np.testing.assert_array_equal(sol[j], rl._solve_regressions(aug[j:j + 1])[0][0])
+
+    def test_cluster_over_the_condition_limit_fails_alone(self, monkeypatch):
+        # (q, r) = 1e4 (1, 1) has the same gains but a far worse conditioned
+        # regression; a limit between the two fails only that cluster, mid-run
+        good, bad = scalar_cluster(), scalar_cluster(q=1e4, r=1e4)
+        batch = collect_batch(SCALAR_PLANT, good, [1.0])
+        solve, conds = rl._solve_regressions, []
+
+        def measured(aug):
+            conds[-1].extend(np.linalg.cond(aug[:, :, :-1]))
+            return solve(aug)
+
+        monkeypatch.setattr(rl, "_solve_regressions", measured)
+        solo = []
+        for problem in (good, bad):
+            conds.append([])
+            solo.append(offpolicy_pi(batch, problem, plant=SCALAR_PLANT))
+        limit = np.sqrt(conds[1][0] * max(conds[1]))
+        assert max(conds[0]) < limit < max(conds[1]) and conds[1][0] < limit
+        monkeypatch.setattr(rl, "REGRESSION_COND_LIMIT", limit)
+        conds.append([])
+        kept, failed = rl._lockstep_pi([batch] * 2, [good, bad], [SCALAR_PLANT] * 2)
+        assert isinstance(failed, RegressionSingular)
+        np.testing.assert_array_equal(kept[0], solo[0][0])
+        assert len(kept[2]) == len(solo[0][2])
 
 
 def count_batches(monkeypatch):
