@@ -222,13 +222,10 @@ def invariant_subspace_check(G, Gamma) -> bool:
 
 
 def _sign_fix_rows(F: np.ndarray) -> np.ndarray:
-    """Flip each row so its largest-magnitude entry is positive."""
-    out = F.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
+    """Flip each row so its largest-magnitude entry (the first of a tie)
+    is positive."""
+    lead = np.take_along_axis(F, np.argmax(np.abs(F), axis=1)[:, None], axis=1)
+    return np.where(lead < 0, -F, F)
 
 
 def single_cluster_plan(N: int) -> DecompositionPlan:

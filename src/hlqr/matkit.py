@@ -56,7 +56,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
         A = A.reshape(1, 1)
     if A.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise PreconditionFailed(f"{name} has non-finite entries")
     return A
 

@@ -553,14 +553,20 @@ def _solve_regressions(aug: np.ndarray):
     One stacked QR factorization of the augmented matrices gives R only,
     never Q: its leading q x q block is the triangular factor of theta and
     the first q entries of its last column are Q' rhs (Golub & Van Loan,
-    Matrix Computations, sec. 5.3). The singular values of that triangle,
-    which are theta's, feed the condition check, and the accepted
-    triangles are solved in one stacked call. A regression with a
-    non-finite entry fails alone with ``LinAlgError`` before the stacked
-    calls; one whose smallest singular value is not positive or whose
-    condition exceeds ``REGRESSION_COND_LIMIT`` fails with
-    ``RegressionSingular``. The factorizations run matrix by matrix, so a
-    regression gets the same bits in any stack."""
+    Matrix Computations, sec. 5.3). Every triangle with no exact zero on
+    its diagonal is solved in one stacked call against [Q' rhs | I], which
+    gives the solution and the inverse together. Since the condition of
+    theta, which is that of its triangle, is at most ||R||_F ||R^-1||_F
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 6.2), a
+    regression whose bound is within half of ``REGRESSION_COND_LIMIT`` is
+    accepted at once; only the others get the singular values of their
+    triangles. A regression with a non-finite entry fails alone with
+    ``LinAlgError`` before the stacked calls; one whose smallest singular
+    value is not positive or whose condition exceeds
+    ``REGRESSION_COND_LIMIT`` fails with ``RegressionSingular``. The
+    factorizations run matrix by matrix and every accepted solution comes
+    from the one stacked solve, so a regression gets the same bits in any
+    stack and under any limit that accepts it."""
     a, q = aug.shape[0], aug.shape[2] - 1
     sol = np.zeros((a, q))
     errors: list = [None] * a
@@ -568,18 +574,34 @@ def _solve_regressions(aug: np.ndarray):
     for j in np.flatnonzero(~finite):
         errors[j] = np.linalg.LinAlgError("regression has non-finite entries")
     live = np.flatnonzero(finite)
-    Rf = np.linalg.qr(aug[live], mode="r")
-    tri, qtb = Rf[:, :q, :q], Rf[:, :q, q]
-    sv = np.linalg.svd(tri, compute_uv=False)
-    cond = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
-    # a condition at most REGRESSION_COND_LIMIT = 1e10 puts every singular
-    # value above lstsq's rank cutoff eps max(L, q) sigma_max for any
-    # L < 4.5e5 windows, so an accepted regression has full rank q
-    bad = (sv[:, -1] <= 0) | (cond > REGRESSION_COND_LIMIT)
-    for j, c in zip(live[bad], cond[bad]):
-        errors[j] = RegressionSingular(f"regression condition {c:.3e}")
-    good = ~bad
-    sol[live[good]] = np.linalg.solve(tri[good], qtb[good, :, None])[..., 0]
+    Rf = np.linalg.qr(aug[live], mode="r")[:, :q]
+    tri = Rf[:, :, :q]
+    # the LU pivots of an upper triangle are its diagonal entries, so the
+    # solve meets no zero pivot; a triangle with a zero is singular
+    solvable = (np.diagonal(tri, axis1=1, axis2=2) != 0).all(axis=1)
+    Rs = Rf[solvable]
+    rhs = np.empty_like(Rs)
+    rhs[:, :, 0], rhs[:, :, 1:] = Rs[:, :, q], np.eye(q)
+    certified = np.zeros(live.size, dtype=bool)
+    # an overflow makes the bound inf or NaN, which fails the test below
+    with np.errstate(all="ignore"):
+        X = np.linalg.solve(Rs[:, :, :q], rhs)
+        bound = np.sqrt(np.einsum("sij,sij->s", Rs[:, :, :q], Rs[:, :, :q])
+                        * np.einsum("sij,sij->s", X[:, :, 1:], X[:, :, 1:]))
+    # the factor 2 absorbs the rounding of the computed inverse
+    certified[solvable] = bound <= 0.5 * REGRESSION_COND_LIMIT
+    sol[live[solvable]] = X[:, :, 0]
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        sv = np.linalg.svd(tri[rest], compute_uv=False)
+        cond = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
+        # a condition at most REGRESSION_COND_LIMIT = 1e10 puts every
+        # singular value above lstsq's rank cutoff eps max(L, q) sigma_max
+        # for any L < 4.5e5 windows, so an accepted regression has full rank q
+        bad = (sv[:, -1] <= 0) | (cond > REGRESSION_COND_LIMIT) | ~solvable[rest]
+        for j, c in zip(live[rest[bad]], cond[bad]):
+            errors[j] = RegressionSingular(f"regression condition {c:.3e}")
+        sol[live[rest[bad]]] = 0.0
     return sol, errors
 
 
@@ -591,7 +613,9 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     object, whose data terms are then formed once. Every iteration stacks
     the regressions of the clusters still active, each with its
     right-hand side as one more column, and solves them all by one stacked
-    QR factorization, condition check and triangular solve
+    QR factorization and one stacked triangular solve, whose inverse
+    triangles bound each regression's condition; only a regression that
+    the bound does not accept gets a singular-value check
     (``_solve_regressions``). A cluster leaves the active set when it
     converges or fails, and the others go on; the deadline is checked once
     per iteration. The converged gains end in one stacked decay probe over

@@ -340,6 +340,27 @@ class TestPlanProperties:
         assert set(obj) == {"T", "clusterSizes", "r", "decomposable"}
 
 
+class TestSignFixRows:
+    @staticmethod
+    def looped(F):
+        out = F.copy()
+        for i in range(out.shape[0]):
+            j = int(np.argmax(np.abs(out[i])))
+            if out[i, j] < 0:
+                out[i] = -out[i]
+        return out
+
+    def test_matches_row_loop(self, rng):
+        # ties go to the first index; an all-negative row flips
+        F = np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [-1.0, -2.0, -3.0],
+                      [0.0, 0.0, 0.0], [-0.0, 2.0, -2.0]])
+        np.testing.assert_array_equal(decomp._sign_fix_rows(F), self.looped(F))
+        for N in (1, 100):
+            F = np.linalg.eigh(random_symmetric(rng, N))[1].T
+            np.testing.assert_array_equal(decomp._sign_fix_rows(F), self.looped(F))
+            assert (np.signbit(decomp._sign_fix_rows(F)) == np.signbit(self.looped(F))).all()
+
+
 class TestLift:
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(seed=st.integers(0, 2**31), N=st.integers(1, 6), k=st.integers(1, 3))

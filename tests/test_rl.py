@@ -733,6 +733,68 @@ class TestSolveRegressions:
         for j in (0, 2):
             np.testing.assert_array_equal(sol[j], rl._solve_regressions(aug[j:j + 1])[0][0])
 
+    @pytest.mark.parametrize("q", [3, 18, 60])
+    def test_guard_matches_singular_value_rule(self, rng, q):
+        # the bound ||R||_F ||R^-1||_F decides most of the sweep; whatever
+        # decides, the decisions and messages are those of the SVD rule
+        L, limit = max(self.L, 2 * q), rl.REGRESSION_COND_LIMIT
+        conds = np.concatenate([np.geomspace(1e8, 1e12, 17),
+                                [0.4e10, 0.6e10, 0.9e10, 1.1e10, 2e10, q * 1e10]])
+        aug = np.stack([
+            np.column_stack([prescribed_regression(rng, L, np.geomspace(1, 1 / c, q)),
+                             rng.standard_normal(L)])
+            for c in conds])
+        sol, errors = rl._solve_regressions(aug)
+        tri = np.linalg.qr(aug, mode="r")[:, :q, :q]
+        sv = np.linalg.svd(tri, compute_uv=False)
+        cond = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
+        bound = np.linalg.norm(tri, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(tri),
+                                                                  axis=(1, 2))
+        bad = (sv[:, -1] <= 0) | (cond > limit)
+        # the sweep rejects, accepts by the bound, and accepts in the band
+        # where only the singular values accept
+        assert bad.any() and (bound <= limit / 2).any()
+        assert (~bad & (bound > limit / 2)).any()
+        for j in range(conds.size):
+            if bad[j]:
+                assert isinstance(errors[j], RegressionSingular)
+                assert str(errors[j]) == f"regression condition {cond[j]:.3e}"
+                assert not sol[j].any()
+            else:
+                assert errors[j] is None and np.isfinite(sol[j]).all()
+
+    def test_zero_pivot_regression_fails_alone(self, rng):
+        aug = self.augmented(rng, [1.0, 10.0, 1e2])
+        aug[1, :, 4] = 0.0
+        assert np.linalg.qr(aug[1], mode="r")[4, 4] == 0.0
+        sol, errors = rl._solve_regressions(aug)
+        assert isinstance(errors[1], RegressionSingular) and not sol[1].any()
+        assert errors[0] is None and errors[2] is None
+        for j in (0, 2):
+            np.testing.assert_array_equal(sol[j], rl._solve_regressions(aug[j:j + 1])[0][0])
+
+    def test_formation_solve_makes_one_svd(self, monkeypatch):
+        # the excitation-rank check of the one shared batch is the only SVD;
+        # no regression of the N=100 formation needs the singular-value rule
+        from hlqr.bench import BenchConfig, build_example
+
+        spec, model, _ = build_example(BenchConfig(N=100, seed=11))
+        A, B = model.A_blocks[0], model.B_blocks[0]
+        k_agent = derive_initial_gain(A, B, seed=11)
+        plan = construct_T(spec.G1, spec.G2)
+        config = HierarchicalConfig(
+            excitation=ExcitationConfig(seed=11),
+            initial_gains=[matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes])
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        hierarchical_solve(spec, plan, AgentModel(A, B), config)
+        assert len(calls) == 1
+
     def test_cluster_over_the_condition_limit_fails_alone(self, monkeypatch):
         # (q, r) = 1e4 (1, 1) has the same gains but a far worse conditioned
         # regression; a limit between the two fails only that cluster, mid-run
