@@ -8,9 +8,7 @@ from .decomp import (
     DecompositionPlan,
     ExcitationConfig,
     LqrSpec,
-    check_commute,
     construct_T,
-    invariant_subspace_check,
     project_problem,
     verify_plan,
 )
@@ -21,7 +19,7 @@ from .lqr import (
     hierarchical_model_based,
     kleinman_pi,
 )
-from .matkit import SymEig, kron, solve_are, solve_lyapunov, support_partition, sym_eig
+from .matkit import kron, solve_are, solve_lyapunov
 from .rl import (
     HierarchicalConfig,
     TrajectoryBatch,
@@ -55,10 +53,8 @@ __all__ = [
     "LqrSpec",
     "LtiSystem",
     "RobustReport",
-    "SymEig",
     "TrajectoryBatch",
     "assemble_gain",
-    "check_commute",
     "collect_batch",
     "construct_T",
     "evaluate_cost",
@@ -67,7 +63,6 @@ __all__ = [
     "hierarchical_model_based",
     "hierarchical_solve",
     "hinf_norm",
-    "invariant_subspace_check",
     "kleinman_pi",
     "kron",
     "lmi_stability_check",
@@ -79,7 +74,5 @@ __all__ = [
     "small_gain_check",
     "solve_are",
     "solve_lyapunov",
-    "support_partition",
-    "sym_eig",
     "verify_plan",
 ]

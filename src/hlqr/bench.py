@@ -131,12 +131,11 @@ def gen_graph(N: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     p = min(1.0, 2.0 * np.log(N) / N)
     for _ in range(100):
-        upper = rng.random((N, N)) < p
-        adj = np.triu(upper, k=1)
-        adj = (adj | adj.T).astype(float)
-        L = np.diag(adj.sum(axis=1)) - adj
-        if len(matkit.support_partition(L, 1e-12)) == 1:
-            return L
+        upper = np.triu(rng.random((N, N)) < p, k=1)
+        adj = upper | upper.T
+        if matkit.component_labels(adj)[0] == 1:
+            weights = adj.astype(float)
+            return np.diag(weights.sum(axis=1)) - weights
     raise GenerationFailed(f"no connected graph after 100 tries (N={N}, seed={seed})")
 
 

@@ -9,6 +9,7 @@ projects the problem data onto the clusters.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matkit
-from .errors import DimensionMismatch, NotOrthonormal, PreconditionFailed
+from .errors import DimensionMismatch, PreconditionFailed
 
 # Weight of G2/||G2||_F against G1/||G1||_F in the combination whose
 # eigenbasis gives the rows of T. Irrational, so that distinct eigenvalue
@@ -24,6 +25,24 @@ from .errors import DimensionMismatch, NotOrthonormal, PreconditionFailed
 MIX = (np.sqrt(5.0) - 1.0) / 2.0
 # Each cluster problem records WINDOW_FACTOR windows per regression unknown.
 WINDOW_FACTOR = 2
+
+
+def _is_integer(x) -> bool:
+    """True for an integer scalar (Python or numpy), False for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_weights(G1: np.ndarray, G2: np.ndarray, tol: float = matkit.DEFAULT_TOL) -> None:
+    """Raise ``PreconditionFailed`` unless G1 and G2 are symmetric to within
+    ``tol`` (``matkit.is_symmetric``), G1 is positive semidefinite (no
+    eigenvalue below -1e-10) and G2 is positive definite."""
+    for name, M in (("G1", G1), ("G2", G2)):
+        if not matkit.is_symmetric(M, tol):
+            raise PreconditionFailed(f"{name} must be symmetric")
+    if float(np.linalg.eigvalsh(matkit.symmetrize(G1))[0]) < -1e-10:
+        raise PreconditionFailed("G1 must be positive semidefinite")
+    if float(np.linalg.eigvalsh(matkit.symmetrize(G2))[0]) <= 0:
+        raise PreconditionFailed("G2 must be positive definite")
 
 
 @dataclass(eq=False)
@@ -48,13 +67,11 @@ class LqrSpec:
             raise DimensionMismatch("G1/G2 must be N x N")
         if self.Q0.shape[0] != self.n or self.R0.shape[0] != self.m:
             raise DimensionMismatch("Q0 must be n x n and R0 m x m")
-        for name, M in (("G1", self.G1), ("G2", self.G2), ("Q0", self.Q0), ("R0", self.R0)):
+        _check_weights(self.G1, self.G2)
+        for name, M in (("Q0", self.Q0), ("R0", self.R0)):
             if not matkit.is_symmetric(M):
                 raise PreconditionFailed(f"{name} must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(self.G1)))) < -1e-10:
-            raise PreconditionFailed("G1 must be positive semidefinite")
-        for name, M in (("G2", self.G2), ("Q0", self.Q0), ("R0", self.R0)):
-            if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(M)))) <= 0:
+            if float(np.linalg.eigvalsh(matkit.symmetrize(M))[0]) <= 0:
                 raise PreconditionFailed(f"{name} must be positive definite")
 
     @property
@@ -76,15 +93,18 @@ class ExcitationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.component_count < 1:
-            raise PreconditionFailed("component_count must be >= 1")
+        if not (_is_integer(self.component_count) and self.component_count >= 1):
+            raise PreconditionFailed(
+                f"component_count must be an integer >= 1, got {self.component_count!r}")
         lo, hi = self.frequency_range
-        if not (0 < lo <= hi):
-            raise PreconditionFailed("frequency_range must be positive and ordered")
-        if self.amplitude < 0:
-            raise PreconditionFailed("amplitude must be nonnegative")
-        if self.seed < 0:
-            raise PreconditionFailed(f"seed must be nonnegative, got {self.seed}")
+        if not 0 < lo <= hi < math.inf:
+            raise PreconditionFailed(
+                f"frequency_range must be finite, positive and ordered, got {(lo, hi)!r}")
+        if not 0 <= self.amplitude < math.inf:
+            raise PreconditionFailed(
+                f"amplitude must be finite and nonnegative, got {self.amplitude!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise PreconditionFailed(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def unknown_count(state_dim: int, input_dim: int) -> int:
@@ -95,8 +115,9 @@ def unknown_count(state_dim: int, input_dim: int) -> int:
 def regression_bytes(state_dim: int, input_dim: int, window_count: int) -> int:
     """Bytes the collect-and-regress pipeline certainly allocates for one
     problem: the window endpoints and moment integrals of ``collect_batch``
-    (x_start, x_end, ixx, ixu), its L x q excitation-rank matrix, and the
-    L x q regression matrix of ``offpolicy_pi``, all float64.
+    (x_start, x_end, ixx, ixu), its L x q excitation-rank matrix, and
+    L x q of the problem's L x (q+1) slab in the (r, L, q+1) regression
+    stack of ``rl._lockstep_pi``, all float64.
 
     Every array counted is one the pipeline really allocates, so this is a
     lower bound: a prediction above the host's memory proves the solve
@@ -109,7 +130,9 @@ def regression_bytes(state_dim: int, input_dim: int, window_count: int) -> int:
 
 @dataclass(eq=False)
 class ClusterProblem:
-    """One decoupled LQR instance in transformed coordinates."""
+    """One decoupled LQR instance in transformed coordinates. Without a
+    ``window_count`` it records ``WINDOW_FACTOR`` windows per regression
+    unknown."""
 
     state_dim: int
     input_dim: int
@@ -125,9 +148,15 @@ class ClusterProblem:
         self.Rblock = matkit.require_square(self.Rblock, "Rblock")
         if self.Qblock.shape[0] != self.state_dim or self.Rblock.shape[0] != self.input_dim:
             raise DimensionMismatch("Qblock/Rblock sizes must match cluster dims")
-        if self.sample_interval <= 0:
-            raise PreconditionFailed("sample_interval must be positive")
-        if self.window_count is not None and self.window_count < self.q:
+        if not 0 < self.sample_interval < math.inf:
+            raise PreconditionFailed(
+                f"sample_interval must be finite and positive, got {self.sample_interval!r}")
+        if self.window_count is None:
+            self.window_count = WINDOW_FACTOR * self.q
+        if not _is_integer(self.window_count):
+            raise PreconditionFailed(
+                f"window_count must be an integer, got {self.window_count!r}")
+        if self.window_count < self.q:
             raise PreconditionFailed(
                 f"window_count {self.window_count} below unknown count {self.q}"
             )
@@ -149,8 +178,7 @@ class DecompositionPlan:
     def __post_init__(self):
         self.T = matkit.require_square(self.T, "T")
         sizes = tuple(self.cluster_sizes)
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0
-                   for s in sizes):
+        if not all(_is_integer(s) and s > 0 for s in sizes):
             raise DimensionMismatch(f"cluster sizes must be positive integers, got {sizes}")
         if sum(sizes) != self.T.shape[0]:
             raise DimensionMismatch(
@@ -198,29 +226,6 @@ def lift(T, d: int, X) -> np.ndarray:
     return (T @ X.reshape(N, -1)).reshape((s * d,) + X.shape[1:])
 
 
-def check_commute(G1, G2, tol: float = 1e-8) -> bool:
-    """True iff ||G1 G2 - G2 G1||_F <= tol * ||G1||_F * ||G2||_F."""
-    A = matkit.require_square(G1, "G1")
-    B = matkit.require_square(G2, "G2")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"G1 is {A.shape}, G2 is {B.shape}")
-    comm = float(np.linalg.norm(A @ B - B @ A))
-    return comm <= tol * float(np.linalg.norm(A)) * float(np.linalg.norm(B))
-
-
-def invariant_subspace_check(G, Gamma) -> bool:
-    """True iff the column span of the orthonormal Gamma is G-invariant."""
-    G = matkit.require_square(G, "G")
-    Gamma = matkit.as_matrix(Gamma, "Gamma")
-    N, s = Gamma.shape
-    if N != G.shape[0] or s >= N:
-        raise DimensionMismatch("Gamma must be N x s with s < N")
-    if float(np.linalg.norm(Gamma.T @ Gamma - np.eye(s))) > matkit.DEFAULT_TOL:
-        raise NotOrthonormal("Gamma columns must be orthonormal")
-    defect = G @ Gamma - Gamma @ (Gamma.T @ G @ Gamma)
-    return float(np.linalg.norm(defect)) <= matkit.DEFAULT_TOL * float(np.linalg.norm(G))
-
-
 def _sign_fix_rows(F: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry (the first of a tie)
     is positive."""
@@ -260,13 +265,7 @@ def construct_T(G1, G2, tol: float = 1e-8) -> DecompositionPlan:
     G2 = matkit.require_square(G2, "G2")
     if G1.shape != G2.shape:
         raise DimensionMismatch(f"G1 is {G1.shape}, G2 is {G2.shape}")
-    for name, M in (("G1", G1), ("G2", G2)):
-        if not matkit.is_symmetric(M, tol):
-            raise PreconditionFailed(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh(matkit.symmetrize(G1))[0]) < -1e-10:
-        raise PreconditionFailed("G1 must be positive semidefinite")
-    if float(np.linalg.eigvalsh(matkit.symmetrize(G2))[0]) <= 0:
-        raise PreconditionFailed("G2 must be positive definite")
+    _check_weights(G1, G2, tol)
     norm1, norm2 = float(np.linalg.norm(G1)), float(np.linalg.norm(G2))
     # G1 need only be PSD, so G1 = 0 leaves the combination to G2
     G = (G1 / norm1 if norm1 > 0 else G1) + (MIX / norm2) * G2
@@ -337,9 +336,8 @@ def project_problem(
     Forms M1 = T G1 T' and M2 = T G2 T' once: cluster i's weights
     phi_i and psi_i are the diagonal blocks of M1 and M2, and the plan must
     pass :func:`verify_plan`'s check on the same products. Cluster i gets
-    Qblock = phi_i (x) Q0 and Rblock = psi_i (x) R0, a window count of
-    ``WINDOW_FACTOR`` times its regression unknown count, and an excitation
-    seeded per cluster.
+    Qblock = phi_i (x) Q0 and Rblock = psi_i (x) R0, the default window
+    count of ``ClusterProblem`` and an excitation seeded per cluster.
     """
     M1, M2, norm1, norm2 = _transformed(plan, spec.G1, spec.G2)
     # copies of the symmetrized blocks, before _plan_check zeroes them
@@ -358,7 +356,6 @@ def project_problem(
                 Qblock=matkit.kron(phi, spec.Q0),
                 Rblock=matkit.kron(psi, spec.R0),
                 excitation=exc,
-                window_count=WINDOW_FACTOR * unknown_count(nc, mc),
             )
         )
     return problems

@@ -22,10 +22,6 @@ class DimensionMismatch(PreconditionFailed):
     """Operands have inconsistent shapes."""
 
 
-class NotOrthonormal(PreconditionFailed):
-    """Columns expected to be orthonormal are not, beyond tolerance."""
-
-
 class K0NotStabilizing(PreconditionFailed):
     """Supplied initial gain does not stabilize the plant."""
 

@@ -1,14 +1,14 @@
 """Dense real linear-algebra kernels shared by the rest of the package.
 
-Kronecker products, symmetric eigendecompositions, connected components
-and sparsity-pattern partitions, block-diagonal assembly, a Lyapunov
-solver, the Riccati solver (structure-preserving doubling on n-square
-blocks, Chu, Fan & Lin 2005, polished by Kleinman steps), and the matrix
-file formats used by the CLI. Everything operates on plain float
-``numpy`` arrays and is pure: no globals, safe to call concurrently.
-Only ``solve_lyapunov`` (Bartels-Stewart) needs scipy; it imports
-``scipy.linalg`` when first called, so importing this module loads numpy
-alone.
+Kronecker products, connected components of a boolean adjacency,
+block-diagonal assembly, numerical and Krylov ranks, the PSD square root,
+a Lyapunov solver, the Riccati solver (structure-preserving doubling on
+n-square blocks, Chu, Fan & Lin 2005, polished by Kleinman steps), and
+the matrix file formats used by the CLI. Everything operates on plain
+float ``numpy`` arrays and is pure: no globals, safe to call
+concurrently. Only ``solve_lyapunov`` (Bartels-Stewart) needs scipy; it
+imports ``scipy.linalg`` when first called, so importing this module
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from itertools import chain, islice
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,14 +38,6 @@ NEWTON_STEPS = 8
 # the unit circle to double precision (|lambda|/gamma beyond ~1e16).
 SDA_RTOL = 1e-15
 SDA_MAX_DOUBLINGS = 60
-
-
-class SymEig(NamedTuple):
-    """Symmetric eigendecomposition; ``vectors[:, j]`` pairs with ``values[j]``,
-    values ascending, columns orthonormal."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -94,19 +85,6 @@ def kron(A, B) -> np.ndarray:
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * s, q * t)
 
 
-def sym_eig(M, tol: float = DEFAULT_TOL) -> SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    The input must satisfy ||M - M'||_F <= tol * ||M||_F; round-off
-    asymmetry is removed by averaging before the decomposition.
-    """
-    A = require_square(M, "M")
-    if float(np.linalg.norm(A - A.T)) > tol * float(np.linalg.norm(A)):
-        raise NotSymmetric(f"asymmetry exceeds {tol:g} * ||M||_F")
-    values, vectors = np.linalg.eigh(symmetrize(A))
-    return SymEig(values, vectors)
-
-
 def component_labels(adj: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the undirected graph with symmetric dense
     boolean adjacency ``adj``: (count, labels), labels numbered in order of
@@ -134,19 +112,6 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
-
-
-def support_partition(M, tol: float = 1e-9) -> list[list[int]]:
-    """Connected components of the undirected support graph of M.
-
-    Vertices i != j are adjacent iff |M[i,j]| + |M[j,i]| > tol. Returns
-    sorted 0-based index groups, ordered by smallest member.
-    """
-    A = require_square(M, "M")
-    adj = (np.abs(A) + np.abs(A.T)) > tol
-    np.fill_diagonal(adj, False)
-    count, labels = component_labels(adj)
-    return [np.flatnonzero(labels == c).tolist() for c in range(count)]
 
 
 def solve_lyapunov(A, W) -> np.ndarray:
@@ -230,13 +195,19 @@ def _psd_floor(values: np.ndarray) -> float:
 def sqrtm_psd(M) -> np.ndarray:
     """Symmetric PSD square root.
 
-    Eigenvalues below ``_psd_floor`` count as zero (taking the square root
-    of round-off noise would otherwise promote it across rank thresholds);
-    eigenvalues below minus that floor are rejected.
+    M must satisfy ||M - M'||_F <= DEFAULT_TOL * ||M||_F (else
+    ``NotSymmetric``); round-off asymmetry is removed by averaging before
+    the eigendecomposition. Eigenvalues below ``_psd_floor`` count as zero
+    (taking the square root of round-off noise would otherwise promote it
+    across rank thresholds); eigenvalues below minus that floor are
+    rejected.
     """
-    e = sym_eig(M)
-    vals = np.where(e.values < _psd_floor(e.values), 0.0, e.values)
-    return symmetrize((e.vectors * np.sqrt(vals)) @ e.vectors.T)
+    A = require_square(M, "M")
+    if not is_symmetric(A):
+        raise NotSymmetric(f"asymmetry exceeds {DEFAULT_TOL:g} * ||M||_F")
+    values, vectors = np.linalg.eigh(symmetrize(A))
+    vals = np.where(values < _psd_floor(values), 0.0, values)
+    return symmetrize((vectors * np.sqrt(vals)) @ vectors.T)
 
 
 def are_residual(A, B, Q, R, P) -> float:

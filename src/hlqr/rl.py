@@ -457,8 +457,6 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
     for c in clusters:
         if c.initial_gain is None:
             raise PreconditionFailed("cluster has no initial gain")
-        if c.window_count is None:
-            raise PreconditionFailed("cluster has no window count")
     n, m = clusters[0].state_dim, clusters[0].input_dim
     delta, L = clusters[0].sample_interval, clusters[0].window_count
     if any((c.state_dim, c.input_dim, c.sample_interval, c.window_count) != (n, m, delta, L)

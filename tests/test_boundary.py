@@ -23,7 +23,11 @@ no block-diagonal diag(k_1..k_r).
 
 The public API: every name in ``hlqr.__all__`` resolves, and every function
 the benchmark's tracer wraps by name (``TRACED`` in ``perfbench/spans.py``)
-still exists in its module."""
+still exists in its module. Every public top-level function or class of
+``src/hlqr`` has a caller: a reference in the package outside
+``__init__``, one in the benchmark's ``perfbench/workloads.py`` or a
+place in ``TRACED``, unless it is one of the references that tests
+compare against (``TEST_REFERENCES``)."""
 
 import ast
 import importlib
@@ -40,6 +44,10 @@ from hlqr.robust import HeteroModel
 ALLOWED = {"_closed_loop"}
 # pipeline stage -> the modules of src/hlqr that may call it
 PIPELINE_OWNERS = {"collect_batch": {"rl"}, "_lockstep_pi": {"rl"}, "ClusterProblem": {"decomp"}}
+PACKAGE = Path(hlqr.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# public names only tests call: the references they compare the package against
+TEST_REFERENCES = {"kron_lift", "kleinman_pi"}
 
 
 def test_plant_matrices_read_only_by_map_builder():
@@ -132,17 +140,21 @@ def test_no_dense_lift_in_package():
     assert {("lqr", "lift"), ("robust", "lift")} <= calls
 
 
+def traced_names() -> dict:
+    """``TRACED`` of ``perfbench/spans.py``: module -> names the tracer wraps."""
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse((PERFBENCH / "spans.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+
+
 def test_public_and_traced_names_exist():
     assert [name for name in hlqr.__all__ if not hasattr(hlqr, name)] == []
     # the tracer's rl.cluster_plants span wraps the one function lqr defines
     assert hlqr.rl.cluster_plants is hlqr.lqr.cluster_plants
-    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    traced = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(spans.read_text()).body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
-    )
+    traced = traced_names()
     missing = [
         f"{layer}.{name}"
         for layer, names in traced.items()
@@ -150,3 +162,30 @@ def test_public_and_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"hlqr.{layer}"), name, None))
     ]
     assert traced and missing == []
+
+
+def read_names(tree) -> set:
+    """Every name a syntax tree reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_definition_has_a_caller():
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.add(own)
+            # a definition's reads of its own name (recursion) do not count
+            used |= read_names(top) - {own}
+    used |= read_names(ast.parse((PERFBENCH / "workloads.py").read_text()))
+    used |= {name for names in traced_names().values() for name in names}
+    assert sorted(defined - used - TEST_REFERENCES) == []
+    # the test references have no other caller, or they would not be listed
+    assert TEST_REFERENCES <= defined - used

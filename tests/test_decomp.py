@@ -4,18 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from hlqr import decomp, matkit
 from hlqr.decomp import (
+    ClusterProblem,
     DecompositionPlan,
     ExcitationConfig,
     LqrSpec,
-    check_commute,
     construct_T,
-    invariant_subspace_check,
     kron_lift,
     lift,
     project_problem,
     verify_plan,
 )
-from hlqr.errors import DimensionMismatch, NotOrthonormal, PreconditionFailed
+from hlqr.errors import DimensionMismatch, PreconditionFailed
 from conftest import diagonal_blocks, random_laplacian, random_spd, random_symmetric
 
 G1_3X3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
@@ -46,50 +45,29 @@ class TestLqrSpec:
         LqrSpec(2, 1, 1, L, np.eye(2), np.eye(1), np.eye(1))
 
 
-class TestCheckCommute:
-    def test_identity_commutes(self, rng):
-        for _ in range(5):
-            G1 = random_symmetric(rng, 4)
-            assert check_commute(G1, np.eye(4))
-
-    def test_shifted_laplacian_with_identity(self, rng):
-        L = random_laplacian(rng, 6)
-        assert check_commute(0.5 * np.eye(6) + L, np.eye(6))
-
-    def test_noncommuting(self):
-        # products computed by hand differ in the off-diagonal
-        G1 = np.array([[2.0, 1.0], [1.0, 2.0]])
-        G2 = np.diag([1.0, 2.0])
-        assert G1 @ G2 is not None
-        assert not check_commute(G1, G2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            check_commute(np.eye(2), np.eye(3))
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ExcitationConfig(frequency_range=(0.1, np.inf)), id="frequency-inf"),
+    pytest.param(lambda: ExcitationConfig(frequency_range=(np.nan, 1.0)), id="frequency-nan"),
+    pytest.param(lambda: ExcitationConfig(component_count=2.5), id="components-2.5"),
+    pytest.param(lambda: ExcitationConfig(component_count=True), id="components-bool"),
+    pytest.param(lambda: ExcitationConfig(amplitude=np.nan), id="amplitude-nan"),
+    pytest.param(lambda: ExcitationConfig(amplitude=np.inf), id="amplitude-inf"),
+    pytest.param(lambda: ExcitationConfig(seed=1.5), id="seed-1.5"),
+    pytest.param(lambda: ClusterProblem(1, 1, np.eye(1), np.eye(1), sample_interval=np.inf),
+                 id="interval-inf"),
+    pytest.param(lambda: ClusterProblem(1, 1, np.eye(1), np.eye(1), sample_interval=np.nan),
+                 id="interval-nan"),
+    pytest.param(lambda: ClusterProblem(1, 1, np.eye(1), np.eye(1), window_count=4.5),
+                 id="windows-4.5"),
+])
+def test_config_rejects_non_finite_and_non_integer_values(build):
+    with pytest.raises(PreconditionFailed):
+        build()
 
 
-class TestInvariantSubspace:
-    def test_leading_block(self):
-        G = np.zeros((4, 4))
-        G[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
-        G[2:, 2:] = [[5.0, 0.0], [0.0, 6.0]]
-        Gamma = np.eye(4)[:, :2]
-        assert invariant_subspace_check(G, Gamma)
-
-    def test_eigenvector_span(self):
-        G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        Gamma = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        assert invariant_subspace_check(G, Gamma)
-
-    def test_non_invariant_direction(self):
-        G = np.array([[2.0, 1.0], [1.0, 2.0]])
-        Gamma = np.array([[1.0], [0.0]])
-        assert not invariant_subspace_check(G, Gamma)
-
-    def test_rejects_non_orthonormal(self):
-        G = np.eye(2)
-        with pytest.raises(NotOrthonormal):
-            invariant_subspace_check(G, np.array([[2.0], [0.0]]))
+def test_cluster_problem_derives_window_count():
+    problem = ClusterProblem(2, 1, np.eye(2), np.eye(1))
+    assert problem.window_count == decomp.WINDOW_FACTOR * problem.q == 10
 
 
 class TestConstructT:
@@ -117,18 +95,20 @@ class TestConstructT:
     def test_two_cluster_pairing(self):
         plan = construct_T(G1_3X3, G2_3X3)
         assert plan.cluster_sizes == (2, 1)
-        # oracle: the support partition of each transformed matrix refines
-        # the plan's block structure
+        # oracle: the components of each transformed matrix's support graph
+        # refine the plan's block structure
         blocks = [{0, 1}, {2}]
         for G in (G1_3X3, G2_3X3):
-            M = plan.T @ G @ plan.T.T
-            for group in matkit.support_partition(M, 1e-8):
-                assert any(set(group) <= b for b in blocks)
-        assert matkit.support_partition(plan.T @ G1_3X3 @ plan.T.T, 1e-8) == [[0, 1], [2]]
+            M = np.abs(plan.T @ G @ plan.T.T)
+            count, labels = matkit.component_labels(M + M.T > 1e-8)
+            for c in range(count):
+                assert any(set(np.flatnonzero(labels == c)) <= b for b in blocks)
+            if G is G1_3X3:
+                assert labels.tolist() == [0, 0, 1]
         assert verify_plan(plan, G1_3X3, G2_3X3).passed
         # the eigenvector inner products pair {1,2} with q1,q2 and {3} with q3
-        e1, e2 = matkit.sym_eig(G1_3X3), matkit.sym_eig(G2_3X3)
-        gram = np.abs(e1.vectors.T @ e2.vectors)
+        (_, v1), (_, v2) = np.linalg.eigh(G1_3X3), np.linalg.eigh(G2_3X3)
+        gram = np.abs(v1.T @ v2)
         assert gram[2, :2].max() < 1e-12 and gram[:2, 2].max() < 1e-12
 
     def test_repeated_noncommuting_pair_splits(self):
@@ -136,7 +116,8 @@ class TestConstructT:
         # leave span{e2} and span{e1, e3} invariant
         G1 = np.diag([1.0, 1.0, 2.0])
         G2 = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]])
-        assert not check_commute(G1, G2)
+        scale = np.linalg.norm(G1) * np.linalg.norm(G2)
+        assert np.linalg.norm(G1 @ G2 - G2 @ G1) > 1e-8 * scale
         plan = construct_T(G1, G2)
         assert sorted(plan.cluster_sizes) == [1, 2]
         assert verify_plan(plan, G1, G2).passed
@@ -171,7 +152,8 @@ class TestConstructT:
         Qb, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         G1 = Qb @ np.diag([1.0, 2.0, 3.0, 4.0]) @ Qb.T
         G2 = Qb @ np.diag([5.0, 6.0, 7.0, 8.0]) @ Qb.T
-        assert check_commute(G1, G2, 1e-10)
+        scale = np.linalg.norm(G1) * np.linalg.norm(G2)
+        assert np.linalg.norm(G1 @ G2 - G2 @ G1) <= 1e-10 * scale
         plan = construct_T(G1, G2)
         assert plan.r == 4
         assert verify_plan(plan, G1, G2).passed
@@ -188,12 +170,15 @@ class TestConstructT:
         assert verify_plan(plan, G1, G2).passed
 
     def test_cluster_rows_span_invariant_subspaces(self):
-        # each cluster's rows of T span a subspace invariant under both
-        # weight matrices
+        # each cluster's rows of T are orthonormal and span a subspace
+        # invariant under both weight matrices: (I - Gamma Gamma') G Gamma = 0
         plan = construct_T(G1_3X3, G2_3X3)
-        gamma = plan.T[: plan.cluster_sizes[0]].T
-        assert invariant_subspace_check(G1_3X3, gamma)
-        assert invariant_subspace_check(G2_3X3, gamma)
+        for o, size in zip(plan.offsets(), plan.cluster_sizes):
+            gamma = plan.T[o:o + size].T
+            np.testing.assert_allclose(gamma.T @ gamma, np.eye(size), atol=1e-10)
+            for G in (G1_3X3, G2_3X3):
+                residual = G @ gamma - gamma @ (gamma.T @ G @ gamma)
+                assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(G)
 
 
 class TestVerifyPlan:

@@ -17,7 +17,6 @@ from hlqr.errors import (
 from conftest import (
     random_controllable,
     random_spd,
-    random_symmetric,
     save_matrix_csv,
     save_matrix_json,
 )
@@ -107,63 +106,71 @@ class TestRequireSquare:
             matkit.require_square(np.zeros((0, 0)), "G1")
 
 
-class TestSymEig:
+class TestSqrtmPsd:
     def test_identity(self):
-        e = matkit.sym_eig(np.eye(3))
-        np.testing.assert_allclose(e.values, np.ones(3))
-        np.testing.assert_allclose(e.vectors.T @ e.vectors, np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(matkit.sqrtm_psd(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_two_by_two(self):
-        e = matkit.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(e.values, [1.0, 3.0], atol=1e-12)
-        # eigenvectors up to sign
-        v0 = e.vectors[:, 0] * np.sign(e.vectors[0, 0])
-        np.testing.assert_allclose(v0, [1, -1] / np.sqrt(2), atol=1e-12)
+        # eigenpairs (1, [1, -1]/sqrt 2) and (3, [1, 1]/sqrt 2)
+        s3 = np.sqrt(3.0)
+        root = matkit.sqrtm_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(root, 0.5 * np.array([[1 + s3, s3 - 1], [s3 - 1, 1 + s3]]),
+                                   atol=1e-12)
 
     def test_shifted_path3(self):
         # roots of the path-3 Laplacian characteristic polynomial are 0, 1, 3
-        e = matkit.sym_eig(0.5 * np.eye(3) + PATH3)
-        np.testing.assert_allclose(e.values, [0.5, 1.5, 3.5], atol=1e-12)
+        root = matkit.sqrtm_psd(0.5 * np.eye(3) + PATH3)
+        np.testing.assert_allclose(np.linalg.eigvalsh(root), np.sqrt([0.5, 1.5, 3.5]),
+                                   atol=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            matkit.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            matkit.sqrtm_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @settings(deadline=None, max_examples=30)
     @given(k=st.integers(2, 6), seed=st.integers(0, 2**31))
     def test_reconstruction(self, k, seed):
-        M = random_symmetric(np.random.default_rng(seed), k)
-        e = matkit.sym_eig(M)
-        rebuilt = (e.vectors * e.values) @ e.vectors.T
-        assert np.linalg.norm(rebuilt - M) <= 1e-8 * max(np.linalg.norm(M), 1e-12)
-        assert np.linalg.norm(e.vectors.T @ e.vectors - np.eye(k)) <= 1e-10
-        assert np.all(np.diff(e.values) >= 0)
+        # a singular PSD M of rank k - 1
+        X = np.random.default_rng(seed).standard_normal((k, k - 1))
+        M = X @ X.T
+        root = matkit.sqrtm_psd(M)
+        np.testing.assert_array_equal(root, root.T)
+        assert np.linalg.eigvalsh(root)[0] >= -1e-10 * np.linalg.norm(root)
+        assert np.linalg.norm(root @ root - M) <= 1e-7 * np.linalg.norm(M)
 
 
 class TestSupportPartition:
+    """``component_labels`` on the support graph of a matrix, the partition
+    that ``bench.gen_graph`` and ``decomp.construct_T`` take; entries on
+    the diagonal are self-loops, which link nothing."""
+
     def test_diagonal(self):
-        assert matkit.support_partition(np.diag([1.0, 2.0, 3.0]), 1e-9) == [[0], [1], [2]]
+        count, labels = matkit.component_labels(np.diag([1.0, 2.0, 3.0]) != 0)
+        assert count == 3 and labels.tolist() == [0, 1, 2]
 
     def test_explicit_blocks(self):
         M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert matkit.support_partition(M, 1e-9) == [[0, 1], [2]]
+        count, labels = matkit.component_labels(M != 0)
+        assert count == 2 and labels.tolist() == [0, 0, 1]
 
     def test_complete(self):
-        assert matkit.support_partition(np.ones((3, 3)), 1e-9) == [[0, 1, 2]]
+        count, labels = matkit.component_labels(np.ones((3, 3)) != 0)
+        assert count == 1 and labels.tolist() == [0, 0, 0]
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**31), k=st.integers(2, 7))
     def test_permutation_equivariance(self, seed, k):
         rng = np.random.default_rng(seed)
-        M = (rng.random((k, k)) < 0.3).astype(float)
+        M = rng.random((k, k)) < 0.3
+        adj = M | M.T
         perm = rng.permutation(k)
-        P = np.eye(k)[perm]
-        base = matkit.support_partition(M, 1e-9)
-        moved = matkit.support_partition(P @ M @ P.T, 1e-9)
-        # position of index i in the permuted matrix is perm^-1(i)
-        inv = np.argsort(perm)
-        mapped = sorted(sorted(int(inv[i]) for i in g) for g in base)
-        assert sorted(moved) == mapped
+        count, labels = matkit.component_labels(adj)
+        moved_count, moved = matkit.component_labels(adj[np.ix_(perm, perm)])
+        # vertex j of the permuted graph is vertex perm[j] of the original,
+        # so both labelings group the vertices alike
+        assert moved_count == count
+        grouped = labels[perm]
+        np.testing.assert_array_equal(moved[:, None] == moved, grouped[:, None] == grouped)
 
 
 def random_adjacency(rng, N, density):
