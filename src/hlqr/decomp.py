@@ -63,6 +63,10 @@ class LqrSpec:
         self.G2 = matkit.require_square(self.G2, "G2")
         self.Q0 = matkit.require_square(self.Q0, "Q0")
         self.R0 = matkit.require_square(self.R0, "R0")
+        for name in ("N", "n", "m"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise PreconditionFailed(f"{name} must be a positive integer, got {value!r}")
         if self.G1.shape[0] != self.N or self.G2.shape[0] != self.N:
             raise DimensionMismatch("G1/G2 must be N x N")
         if self.Q0.shape[0] != self.n or self.R0.shape[0] != self.m:
@@ -96,7 +100,12 @@ class ExcitationConfig:
         if not (_is_integer(self.component_count) and self.component_count >= 1):
             raise PreconditionFailed(
                 f"component_count must be an integer >= 1, got {self.component_count!r}")
-        lo, hi = self.frequency_range
+        try:
+            lo, hi = self.frequency_range
+        except (TypeError, ValueError):
+            raise PreconditionFailed(
+                f"frequency_range must be a (low, high) pair, got {self.frequency_range!r}"
+            ) from None
         if not 0 < lo <= hi < math.inf:
             raise PreconditionFailed(
                 f"frequency_range must be finite, positive and ordered, got {(lo, hi)!r}")
@@ -116,8 +125,8 @@ def regression_bytes(state_dim: int, input_dim: int, window_count: int) -> int:
     """Bytes the collect-and-regress pipeline certainly allocates for one
     problem: the window endpoints and moment integrals of ``collect_batch``
     (x_start, x_end, ixx, ixu), its L x q excitation-rank matrix, and
-    L x q of the problem's L x (q+1) slab in the (r, L, q+1) regression
-    stack of ``rl._lockstep_pi``, all float64.
+    L x q of the batch's L x (d1 + q) compression input [Phi | D] in
+    ``rl._lockstep_pi``, all float64.
 
     Every array counted is one the pipeline really allocates, so this is a
     lower bound: a prediction above the host's memory proves the solve

@@ -136,12 +136,19 @@ def solve_lyapunov(A, W) -> np.ndarray:
     return X
 
 
-def numerical_rank(M) -> int:
-    """Count of singular values above RANK_RTOL times the largest."""
-    s = np.linalg.svd(as_matrix(M, "M"), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+def numerical_rank(M):
+    """Count of singular values above RANK_RTOL times the largest. A
+    3-d stack of matrices gets one SVD call and an array of counts, each
+    by the same rule for its own matrix."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 3:
+        A = as_matrix(A, "M")
+    elif not np.isfinite(A).all():
+        raise PreconditionFailed("M has non-finite entries")
+    s = np.linalg.svd(A, compute_uv=False)
+    # an all-zero (or empty) matrix has no singular value above 0
+    ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+    return int(ranks) if A.ndim == 2 else ranks
 
 
 def ctrb_rank(A, B) -> int:
@@ -238,9 +245,10 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
     inverse and two products take less time than one solve against the 2n
     columns of [A_k G_k], whose triangular stage is slow per flop), and
     squares the transformed spectrum, so H_k converges quadratically to P.
-    It stops when max|dH| <= SDA_RTOL * max|H|; a singular S_k, a
-    non-finite or zero iterate, or SDA_MAX_DOUBLINGS doublings without
-    convergence raises ``SolverDiverged``.
+    It stops when max|dH| <= SDA_RTOL * max|H|, tested before A_k and G_k
+    are updated, so the last doubling skips their four n x n products; a
+    singular S_k, a non-finite or zero iterate, or SDA_MAX_DOUBLINGS
+    doublings without convergence raises ``SolverDiverged``.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -267,8 +275,6 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
                 S_inv = np.linalg.inv(eye + Gk @ Hk)
                 X = S_inv @ Ak
                 dH = Ak.T @ (Hk @ X)
-                Gk = Gk + Ak @ (S_inv @ Gk) @ Ak.T
-                Ak = Ak @ X
                 Hk = Hk + dH
                 dmax, hmax = abs(dH).max(), abs(Hk).max()
                 if not (0.0 < hmax < np.inf and dmax < np.inf):
@@ -276,6 +282,9 @@ def _sda_riccati(A: np.ndarray, G: np.ndarray, Q: np.ndarray) -> tuple[np.ndarra
                 step = dmax / hmax
                 if step <= SDA_RTOL:
                     return symmetrize(Hk), summary()
+                # the converging doubling returns before these products
+                Gk = Gk + Ak @ (S_inv @ Gk) @ Ak.T
+                Ak = Ak @ X
         except np.linalg.LinAlgError as exc:
             raise diverged(f"breakdown: {exc}") from exc
     raise diverged(f"reached the cap of {SDA_MAX_DOUBLINGS} doublings")

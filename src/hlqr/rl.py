@@ -407,13 +407,14 @@ def _check_memory(clusters: Sequence[ClusterProblem]) -> None:
 
 def _reduced_rows(batch_ixx: np.ndarray, batch_ixu: np.ndarray) -> np.ndarray:
     """Data matrix whose rank decides excitation sufficiency: one row per
-    window holding the distinct quadratic monomial integrals and the
-    state-input cross integrals."""
-    L, n, _ = batch_ixx.shape
+    window holding the distinct quadratic monomial integrals (the upper
+    triangle of ixx, row by row) and the state-input cross integrals (ixu
+    flattened). Leading axes of a stack of batches are kept."""
+    n = batch_ixx.shape[-1]
     iu, ju = np.triu_indices(n)
-    quad = batch_ixx[:, iu, ju]
-    cross = batch_ixu.reshape(L, -1)
-    return np.hstack([quad, cross])
+    quad = batch_ixx[..., iu, ju]
+    cross = batch_ixu.reshape(*batch_ixu.shape[:-2], -1)
+    return np.concatenate((quad, cross), axis=-1)
 
 
 def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
@@ -518,9 +519,10 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
         x = X[-1]
         w += 1
 
-    for i in live:
-        rank = matkit.numerical_rank(_reduced_rows(ixx[i], ixu[i]))
-        q = clusters[i].q
+    # one stacked SVD ranks every batch that completed its windows
+    ranks = matkit.numerical_rank(_reduced_rows(ixx[live], ixu[live]))
+    for i, rank in zip(live, ranks):
+        rank, q = int(rank), clusters[i].q
         results[i] = (
             ExcitationDeficient(
                 f"regression rank {rank} below unknown count {q}; "
@@ -538,52 +540,133 @@ def collect_batch(plant, cluster: ClusterProblem, x0, dt: float = 5e-3,
 
 def _phi(X: np.ndarray, tri) -> np.ndarray:
     """Distinct quadratic monomials x_i x_j (i <= j, ``tri`` the upper
-    triangle's index pairs) for each row of X."""
+    triangle's index pairs) for each row of X, over any leading axes."""
     iu, ju = tri
-    return X[:, iu] * X[:, ju]
+    return X[..., iu] * X[..., ju]
 
 
-def _solve_regressions(aug: np.ndarray):
-    """Least-squares solutions of an (a, L, q + 1) stack of augmented
-    regressions [theta | rhs], and per regression None or the error that
-    rejects it.
+class _Compressed(NamedTuple):
+    """The R-factors [[R11, R1D], [0, RDD]] of the (B, L, d1 + q) stack
+    [Phi | D] of B batches (``_compress``), with the q columns of D split
+    back into the moment integrals they hold. Row l of a factor is a
+    linear combination of the windows, so it holds a 'compressed window'
+    with moments ixx_l (an n x n symmetric matrix, from the upper triangle)
+    and ixu_l (n x m), laid out for ``_regression_triangles``:
+    xx[b, k, l n + j] = ixx_l[k, j], xu[b, i, l n + j] = ixu_l[j, i] and
+    quad[b, l, k n + j] = ixx_l[k, j], for the p = min(L, d1 + q) rows."""
 
-    One stacked QR factorization of the augmented matrices gives R only,
-    never Q: its leading q x q block is the triangular factor of theta and
-    the first q entries of its last column are Q' rhs (Golub & Van Loan,
-    Matrix Computations, sec. 5.3). Every triangle with no exact zero on
-    its diagonal is solved in one stacked call against [Q' rhs | I], which
-    gives the solution and the inverse together. Since the condition of
-    theta, which is that of its triangle, is at most ||R||_F ||R^-1||_F
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 6.2), a
-    regression whose bound is within half of ``REGRESSION_COND_LIMIT`` is
-    accepted at once; only the others get the singular values of their
-    triangles. A regression with a non-finite entry fails alone with
-    ``LinAlgError`` before the stacked calls; one whose smallest singular
-    value is not positive or whose condition exceeds
-    ``REGRESSION_COND_LIMIT`` fails with ``RegressionSingular``. The
-    factorizations run matrix by matrix and every accepted solution comes
-    from the one stacked solve, so a regression gets the same bits in any
-    stack and under any limit that accepts it."""
-    a, q = aug.shape[0], aug.shape[2] - 1
+    r11: np.ndarray   # (B, d1, d1)
+    xx: np.ndarray    # (B, n, p n)
+    xu: np.ndarray    # (B, m, p n)
+    quad: np.ndarray  # (B, p, n n)
+
+
+def _compress(x_start: np.ndarray, x_end: np.ndarray, ixx: np.ndarray,
+              ixu: np.ndarray) -> _Compressed:
+    """One R-only Householder QR of the stacked [Phi | D] of B batches,
+    Phi = phi(x_end) - phi(x_start) and D = ``_reduced_rows(ixx, ixu)``
+    (Golub & Van Loan, Matrix Computations, sec. 5.3). A batch with a
+    non-finite entry gets an all-NaN factor, which fails its regressions
+    with ``LinAlgError`` in ``_solve_regressions``."""
+    B, L, n, m = ixu.shape
+    tri = np.triu_indices(n)
+    d1 = tri[0].size
+    data = np.concatenate((_phi(x_end, tri) - _phi(x_start, tri), _reduced_rows(ixx, ixu)),
+                          axis=2)
+    Rb = np.linalg.qr(data, mode="r")
+    Rb[~np.isfinite(data).all(axis=(1, 2))] = np.nan
+    p = Rb.shape[1]
+    G = np.empty((B, p, n, n))
+    G[:, :, tri[0], tri[1]] = G[:, :, tri[1], tri[0]] = Rb[:, :, d1:2 * d1]
+    U = Rb[:, :, 2 * d1:].reshape(B, p, n, m)
+    return _Compressed(Rb[:, :d1, :d1], G.transpose(0, 2, 1, 3).reshape(B, n, p * n),
+                       U.transpose(0, 3, 1, 2).reshape(B, m, p * n), G.reshape(B, p, n * n))
+
+
+def _regression_triangles(comp: _Compressed, at, K: np.ndarray, R: np.ndarray,
+                          Qbar: np.ndarray) -> np.ndarray:
+    """The leading q rows of the R-factors of a regressions [theta | rhs],
+    from the compressed batches ``comp[at]`` (``at`` an index
+    array, or a slice when one batch serves all), the (a, m, n) gains K,
+    the (a, m, m) weights R and the (a, n, n) symmetric Q + K'RK.
+
+    Window l's row of the regression is [Phi_l | D_l W | -<ixx_l, Q + K'RK>]
+    with D_l W = -2 R (ixu_l' + K ixx_l), a fixed linear image of D_l. Since
+    [Phi | D] = Q_b [[R11, R1D], [0, RDD]] with Q_b orthonormal, the
+    regression's R-factor is [[R11, R1D W], [0, T]], T the R-factor of
+    RDD W. So each call applies W to the p compressed rows, by two stacked
+    matrix products over all of them, and factors only the (p - d1) x
+    (mn + 1) block RDD W; no array of length L is touched."""
+    a, m, n = K.shape
+    d1 = comp.r11.shape[1]
+    p, mn = comp.quad.shape[1], m * n
+    q = d1 + mn
+    # -2 R (ixu_l' + K ixx_l) for every compressed row l, as (a, m, p n)
+    cross = -2.0 * (R @ (comp.xu[at] + K @ comp.xx[at]))
+    rows = np.empty((a, p, mn + 1))
+    rows[:, :, :mn] = cross.reshape(a, m, p, n).swapaxes(1, 2).reshape(a, p, mn)
+    rows[:, :, mn] = -(comp.quad[at] @ Qbar.reshape(a, n * n, 1))[:, :, 0]
+    Rf = np.zeros((a, q, q + 1))
+    Rf[:, :d1, :d1] = comp.r11[at]
+    Rf[:, :d1, d1:] = rows[:, :d1]
+    Rf[:, d1:, d1:] = np.linalg.qr(rows[:, d1:], mode="r")[:, :mn]
+    return Rf
+
+
+def _back_substitute(T: np.ndarray, B: np.ndarray, X: np.ndarray) -> None:
+    """Write into X the solution of T X = B for an (a, k, k) stack of upper
+    triangles T and an (a, k, c) stack B, by recursive halving:
+    X2 = T22^-1 B2, then X1 = T11^-1 (B1 - T12 X2). Every step is a
+    stacked matrix product and every 1 x 1 leaf one division, so each
+    matrix gets the same bits in any stack."""
+    k = T.shape[1]
+    if k == 1:
+        np.divide(B, T, out=X)
+        return
+    h = k // 2
+    _back_substitute(T[:, h:, h:], B[:, h:], X[:, h:])
+    _back_substitute(T[:, :h, :h], B[:, :h] - T[:, :h, h:] @ X[:, h:], X[:, :h])
+
+
+def _solve_regressions(Rf: np.ndarray):
+    """Least-squares solutions of a regressions [theta | rhs], given the
+    leading q rows of their R-factors as an (a, q, q + 1) stack: the
+    q x q triangle of theta and, in the last column, Q' rhs (Golub & Van
+    Loan, Matrix Computations, sec. 5.3). Returns the solutions and per
+    regression None or the error that rejects it.
+
+    Every triangle with no exact zero on its diagonal is solved against
+    [Q' rhs | I] in one stacked recursive back substitution
+    (``_back_substitute``), which gives the solution and the inverse
+    together. Since the condition of theta, which is that of its triangle,
+    is at most ||R||_F ||R^-1||_F (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 6.2), a regression whose bound is within
+    half of ``REGRESSION_COND_LIMIT`` is accepted at once; only the others
+    get the singular values of their triangles. A regression with a
+    non-finite entry fails alone with ``LinAlgError`` before the stacked
+    calls; one whose smallest singular value is not positive or whose
+    condition exceeds ``REGRESSION_COND_LIMIT`` fails with
+    ``RegressionSingular``. Every accepted solution comes from the one
+    stacked solve, so a regression gets the same bits in any stack and
+    under any limit that accepts it."""
+    a, q = Rf.shape[:2]
     sol = np.zeros((a, q))
     errors: list = [None] * a
-    finite = np.isfinite(aug).all(axis=(1, 2))
+    finite = np.isfinite(Rf).all(axis=(1, 2))
     for j in np.flatnonzero(~finite):
         errors[j] = np.linalg.LinAlgError("regression has non-finite entries")
     live = np.flatnonzero(finite)
-    Rf = np.linalg.qr(aug[live], mode="r")[:, :q]
-    tri = Rf[:, :, :q]
-    # the LU pivots of an upper triangle are its diagonal entries, so the
-    # solve meets no zero pivot; a triangle with a zero is singular
+    tri = Rf[live, :, :q]
+    # a triangle with a zero on its diagonal is singular
     solvable = (np.diagonal(tri, axis1=1, axis2=2) != 0).all(axis=1)
-    Rs = Rf[solvable]
+    Rs = Rf[live[solvable]]
     rhs = np.empty_like(Rs)
     rhs[:, :, 0], rhs[:, :, 1:] = Rs[:, :, q], np.eye(q)
+    X = np.empty_like(Rs)
     certified = np.zeros(live.size, dtype=bool)
     # an overflow makes the bound inf or NaN, which fails the test below
     with np.errstate(all="ignore"):
-        X = np.linalg.solve(Rs[:, :, :q], rhs)
+        _back_substitute(Rs[:, :, :q], rhs, X)
         bound = np.sqrt(np.einsum("sij,sij->s", Rs[:, :, :q], Rs[:, :, :q])
                         * np.einsum("sij,sij->s", X[:, :, 1:], X[:, :, 1:]))
     # the factor 2 absorbs the rounding of the computed inverse
@@ -608,16 +691,22 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     """Off-policy policy iteration of r clusters of one shape in lockstep.
 
     Cluster i learns from ``batches[i]``; clusters may share a batch
-    object, whose data terms are then formed once. Every iteration stacks
-    the regressions of the clusters still active, each with its
-    right-hand side as one more column, and solves them all by one stacked
-    QR factorization and one stacked triangular solve, whose inverse
-    triangles bound each regression's condition; only a regression that
-    the bound does not accept gets a singular-value check
-    (``_solve_regressions``). A cluster leaves the active set when it
-    converges or fails, and the others go on; the deadline is checked once
-    per iteration. The converged gains end in one stacked decay probe over
-    ``plants`` (a list of r plants).
+    object. Only the first d1 = n(n+1)/2 columns Phi of a regression are
+    fixed; the others are a linear image D W of the batch's L x q reduced
+    rows D (``_reduced_rows``), W built from the cluster's weights and
+    current gain. So each distinct batch is compressed once, by one
+    stacked R-only QR of [Phi | D] over the distinct batches
+    (``_compress``), and every iteration forms each active cluster's
+    regression triangle from its batch's (d1 + q)-row factor, factoring
+    only a q x (mn + 1) block (``_regression_triangles``); no array of
+    length L is touched inside the loop. The triangles are solved
+    together by one stacked back substitution, whose inverse triangles
+    bound each regression's condition; only a regression that the bound
+    does not accept gets a singular-value check (``_solve_regressions``).
+    A cluster leaves the active set when it converges or fails, and the
+    others go on; the deadline is checked once per iteration. The
+    converged gains end in one stacked decay probe over ``plants`` (a
+    list of r plants).
 
     Returns, per cluster, (K, P, history) or the error that ended it.
     """
@@ -636,23 +725,15 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
     Q = np.stack([c.Qblock for c in clusters])
     R = np.stack([c.Rblock for c in clusters])
     K = np.stack([matkit.as_matrix(c.initial_gain, "initial gain") for c in clusters])
-    # the data terms of each distinct batch, indexed by src[cluster]
+    # the data of each distinct batch, indexed by src[cluster], compressed
+    # by one stacked QR
     distinct = list({id(b): b for b in batches}.values())
     slot = {id(b): s for s, b in enumerate(distinct)}
     src = np.array([slot[id(b)] for b in batches])
-    # (B, L, n, n) and (B, L, m, n); a lone batch is used in place
-    ixx, ixu = ((a[0][None] if len(a) == 1 else np.stack(a))
-                for a in ([b.ixx for b in distinct], [b.ixu for b in distinct]))
-    ixu_t = ixu.swapaxes(2, 3)
+    comp = _compress(*(np.stack([getattr(b, f) for b in distinct])
+                       for f in ("x_start", "x_end", "ixx", "ixu")))
     tri = np.triu_indices(n)
     d1 = tri[0].size
-    # each window's row of the augmented regression [theta | rhs] is
-    # [phi(x_end) - phi(x_start), -2 R (ixu' + K ixx), rhs]; the first
-    # block does not change between iterations
-    q = d1 + m * n
-    aug = np.empty((r, L, q + 1))
-    for s, b in enumerate(distinct):
-        aug[src == s, :, :d1] = _phi(b.x_end, tri) - _phi(b.x_start, tri)
     results: list = [None] * r
     history: list[list] = [[] for _ in range(r)]
     converged: list[int] = []
@@ -666,11 +747,8 @@ def _lockstep_pi(batches: Sequence[TrajectoryBatch], clusters: Sequence[ClusterP
             break
         # a single batch broadcasts over the clusters
         at = src[live] if len(distinct) > 1 else slice(None)
-        cross = R[live, None] @ (ixu_t[at] + K[:, None] @ ixx[at])   # (a, L, m, n)
-        aug[live, :, d1:q] = -2.0 * cross.reshape(live.size, L, -1)
-        aug[live, :, q] = -np.einsum("rlij,rij->rl", ixx[at],
-                                     matkit.symmetrize(Q[live] + K.swapaxes(1, 2) @ R[live] @ K))
-        sol, errors = _solve_regressions(aug[live])
+        Qbar = matkit.symmetrize(Q[live] + K.swapaxes(1, 2) @ R[live] @ K)
+        sol, errors = _solve_regressions(_regression_triangles(comp, at, K, R[live], Qbar))
         for i, exc in zip(live, errors):
             results[i] = exc
         # off-diagonal monomial coefficients carry the factor 2
@@ -729,9 +807,13 @@ def offpolicy_pi(batch: TrajectoryBatch, cluster: ClusterProblem, *, plant):
     The final gain is checked by an empirical closed-loop decay probe on
     the simulation target ``plant``; failure raises ``NotStabilizing``.
 
-    This is the one-cluster case of the lockstep iteration that
-    ``hierarchical_solve`` runs over each shape class, so a cluster learns
-    the same gain, in as many iterations, alone or in its class.
+    The regression is never formed window by window: the batch's fixed
+    columns and reduced rows are factored once, and each iteration solves
+    the (q + 1)-row triangle that the gain's linear image of that factor
+    gives (see ``_lockstep_pi``). This is the one-cluster case of the
+    lockstep iteration that ``hierarchical_solve`` runs over each shape
+    class, so a cluster learns the same gain, in as many iterations, alone
+    or in its class.
     """
     result = _lockstep_pi([batch], [cluster], [plant])[0]
     if isinstance(result, Exception):

@@ -65,6 +65,25 @@ def test_config_rejects_non_finite_and_non_integer_values(build):
         build()
 
 
+def _spec_of(N, n, m):
+    return LqrSpec(N, n, m, np.eye(2), np.eye(2), np.eye(1), np.eye(1))
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: ExcitationConfig(frequency_range=(1.0,)), "frequency_range",
+                 id="frequency-1-tuple"),
+    pytest.param(lambda: ExcitationConfig(frequency_range=(0.1, 1.0, 2.0)), "frequency_range",
+                 id="frequency-3-tuple"),
+    pytest.param(lambda: _spec_of(2, 1.0, 1), "n", id="spec-float-n"),
+    pytest.param(lambda: _spec_of(2.0, 1, 1), "N", id="spec-float-N"),
+    pytest.param(lambda: _spec_of(2, 1, 0), "m", id="spec-zero-m"),
+    pytest.param(lambda: _spec_of(2, True, 1), "n", id="spec-bool-n"),
+])
+def test_malformed_fields_raise_precondition_naming_them(build, field):
+    with pytest.raises(PreconditionFailed, match=rf"^{field} must be"):
+        build()
+
+
 def test_cluster_problem_derives_window_count():
     problem = ClusterProblem(2, 1, np.eye(2), np.eye(1))
     assert problem.window_count == decomp.WINDOW_FACTOR * problem.q == 10

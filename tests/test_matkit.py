@@ -471,6 +471,19 @@ class TestRankHelpers:
             assert matkit.ctrb_rank(A, B) == matkit.numerical_rank(stack)
             assert matkit.obsv_rank(B.T, A.T) == matkit.numerical_rank(stack)
 
+    def test_stacked_ranks_are_per_matrix_ranks(self, rng):
+        # full rank, rank 3 of 5, rank 1, all zero; each at its own scale
+        stack = rng.standard_normal((4, 12, 5)) * np.array([1e-6, 1.0, 1e6, 1.0])[:, None, None]
+        stack[1] = stack[1, :, :3] @ rng.standard_normal((3, 5))
+        stack[2] = np.outer(stack[2, :, 0], rng.standard_normal(5))
+        stack[3] = 0.0
+        ranks = matkit.numerical_rank(stack)
+        assert ranks.tolist() == [5, 3, 1, 0]
+        assert ranks.tolist() == [matkit.numerical_rank(M) for M in stack]
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(PreconditionFailed):
+            matkit.numerical_rank(stack)
+
     def test_full_rank_b_decides_without_a(self, rng, monkeypatch):
         A = rng.standard_normal((4, 4))
         B = rng.standard_normal((4, 5))

@@ -39,7 +39,7 @@ from hlqr.rl import (
     simulate,
 )
 from hlqr.robust import HeteroModel
-from conftest import random_laplacian
+from conftest import random_laplacian, random_spd
 
 
 def scalar_cluster(q=1.0, r=1.0, k0=1.5, seed=0, windows=None, amplitude=1.0):
@@ -461,7 +461,7 @@ class TestCollectBatch:
         batch = collect_batch(SCALAR_PLANT, problem, [1.0])
         L, q = problem.window_count, problem.q
         allocated = sum(a.nbytes for a in (batch.x_start, batch.x_end, batch.ixx, batch.ixu))
-        # plus the L x q rank matrix and the L x q regression matrix
+        # plus the L x q rank matrix and L x q of the L x (d1 + q) compression input
         assert regression_bytes(1, 1, L) == allocated + 2 * 8 * L * q
 
     def test_oversized_problem_refused_before_allocating(self):
@@ -699,6 +699,39 @@ def prescribed_regression(rng, L, sv):
     return (U * sv) @ V.T
 
 
+def formation_n100():
+    """The N=100 formation of the benchmark (seed 11): 100 identical
+    size-1 clusters that share one batch."""
+    from hlqr.bench import BenchConfig, build_example
+
+    spec, model, _ = build_example(BenchConfig(N=100, seed=11))
+    A, B = model.A_blocks[0], model.B_blocks[0]
+    k_agent = derive_initial_gain(A, B, seed=11)
+    plan = construct_T(spec.G1, spec.G2)
+    config = HierarchicalConfig(
+        excitation=ExcitationConfig(seed=11),
+        initial_gains=[matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes])
+    return spec, plan, AgentModel(A, B), config
+
+
+def count_calls(monkeypatch, name):
+    """Record the shape of the first argument of every np.linalg.<name> call."""
+    fn, calls = getattr(np.linalg, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def r_factors(aug):
+    """The leading q rows of the R-factors of an (a, L, q + 1) stack of
+    regressions [theta | rhs], as ``rl._solve_regressions`` takes them."""
+    return np.linalg.qr(aug, mode="r")[:, :aug.shape[2] - 1]
+
+
 class TestSolveRegressions:
     L, q = 36, 18
 
@@ -710,7 +743,7 @@ class TestSolveRegressions:
 
     def test_stack_matches_per_regression_lstsq(self, rng):
         aug = self.augmented(rng, [1.0, 1e2, 1e3])
-        sol, errors = rl._solve_regressions(aug)
+        sol, errors = rl._solve_regressions(r_factors(aug))
         assert errors == [None] * 3
         for x, a in zip(sol, aug):
             ref = np.linalg.lstsq(a[:, :-1], a[:, -1], rcond=None)[0]
@@ -718,20 +751,20 @@ class TestSolveRegressions:
 
     def test_condition_guard(self, rng):
         aug = self.augmented(rng, [2e10, 5e9])
-        sol, errors = rl._solve_regressions(aug)
+        sol, errors = rl._solve_regressions(r_factors(aug))
         assert isinstance(errors[0], RegressionSingular)
         assert re.fullmatch(r"regression condition 2\.000e\+10", str(errors[0]))
         assert errors[1] is None and np.isfinite(sol[1]).all()
 
     def test_non_finite_regression_fails_alone(self, rng):
-        aug = self.augmented(rng, [1.0, 10.0, 1e2])
-        aug[1, 3, -1] = np.nan
-        sol, errors = rl._solve_regressions(aug)
+        Rf = r_factors(self.augmented(rng, [1.0, 10.0, 1e2]))
+        Rf[1, 3, -1] = np.nan
+        sol, errors = rl._solve_regressions(Rf)
         assert isinstance(errors[1], np.linalg.LinAlgError)
         assert errors[0] is None and errors[2] is None
         # each regression gets the bits it gets alone
         for j in (0, 2):
-            np.testing.assert_array_equal(sol[j], rl._solve_regressions(aug[j:j + 1])[0][0])
+            np.testing.assert_array_equal(sol[j], rl._solve_regressions(Rf[j:j + 1])[0][0])
 
     @pytest.mark.parametrize("q", [3, 18, 60])
     def test_guard_matches_singular_value_rule(self, rng, q):
@@ -744,7 +777,7 @@ class TestSolveRegressions:
             np.column_stack([prescribed_regression(rng, L, np.geomspace(1, 1 / c, q)),
                              rng.standard_normal(L)])
             for c in conds])
-        sol, errors = rl._solve_regressions(aug)
+        sol, errors = rl._solve_regressions(r_factors(aug))
         tri = np.linalg.qr(aug, mode="r")[:, :q, :q]
         sv = np.linalg.svd(tri, compute_uv=False)
         cond = sv[:, 0] / np.maximum(sv[:, -1], np.finfo(float).tiny)
@@ -766,34 +799,32 @@ class TestSolveRegressions:
     def test_zero_pivot_regression_fails_alone(self, rng):
         aug = self.augmented(rng, [1.0, 10.0, 1e2])
         aug[1, :, 4] = 0.0
-        assert np.linalg.qr(aug[1], mode="r")[4, 4] == 0.0
-        sol, errors = rl._solve_regressions(aug)
+        Rf = r_factors(aug)
+        assert Rf[1, 4, 4] == 0.0
+        sol, errors = rl._solve_regressions(Rf)
         assert isinstance(errors[1], RegressionSingular) and not sol[1].any()
         assert errors[0] is None and errors[2] is None
         for j in (0, 2):
-            np.testing.assert_array_equal(sol[j], rl._solve_regressions(aug[j:j + 1])[0][0])
+            np.testing.assert_array_equal(sol[j], rl._solve_regressions(Rf[j:j + 1])[0][0])
 
     def test_formation_solve_makes_one_svd(self, monkeypatch):
         # the excitation-rank check of the one shared batch is the only SVD;
         # no regression of the N=100 formation needs the singular-value rule
-        from hlqr.bench import BenchConfig, build_example
-
-        spec, model, _ = build_example(BenchConfig(N=100, seed=11))
-        A, B = model.A_blocks[0], model.B_blocks[0]
-        k_agent = derive_initial_gain(A, B, seed=11)
-        plan = construct_T(spec.G1, spec.G2)
-        config = HierarchicalConfig(
-            excitation=ExcitationConfig(seed=11),
-            initial_gains=[matkit.kron(np.eye(s), k_agent) for s in plan.cluster_sizes])
-        svd, calls = np.linalg.svd, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        hierarchical_solve(spec, plan, AgentModel(A, B), config)
+        spec, plan, plant, config = formation_n100()
+        calls = count_calls(monkeypatch, "svd")
+        hierarchical_solve(spec, plan, plant, config)
         assert len(calls) == 1
+
+    def test_formation_solve_factors_its_data_once(self, monkeypatch):
+        # the 100 size-1 clusters share one batch of L windows; only its
+        # compression sees L rows, every iteration factors q-row blocks
+        spec, plan, plant, config = formation_n100()
+        assert set(plan.cluster_sizes) == {1}
+        L = 2 * unknown_count(spec.n, spec.m)
+        calls = count_calls(monkeypatch, "qr")
+        hierarchical_solve(spec, plan, plant, config)
+        assert [shape[-2] for shape in calls].count(L) == 1
+        assert max(shape[-2] for shape in calls) == L
 
     def test_cluster_over_the_condition_limit_fails_alone(self, monkeypatch):
         # (q, r) = 1e4 (1, 1) has the same gains but a far worse conditioned
@@ -802,9 +833,9 @@ class TestSolveRegressions:
         batch = collect_batch(SCALAR_PLANT, good, [1.0])
         solve, conds = rl._solve_regressions, []
 
-        def measured(aug):
-            conds[-1].extend(np.linalg.cond(aug[:, :, :-1]))
-            return solve(aug)
+        def measured(Rf):
+            conds[-1].extend(np.linalg.cond(Rf[:, :, :-1]))
+            return solve(Rf)
 
         monkeypatch.setattr(rl, "_solve_regressions", measured)
         solo = []
@@ -875,6 +906,103 @@ def same_stats(stats, reference) -> bool:
     """Equal cluster stats, wall time aside."""
     return [(s.index, s.size, s.iters, s.residual, s.batch_of) for s in stats] == [
         (s.index, s.size, s.iters, s.residual, s.batch_of) for s in reference]
+
+
+def random_batch(rng, n, m, L):
+    ixx = rng.standard_normal((L, n, n))
+    return rl.TrajectoryBatch(rng.standard_normal((L, n)), rng.standard_normal((L, n)),
+                              ixx + ixx.swapaxes(1, 2), rng.standard_normal((L, n, m)),
+                              unknown_count(n, m))
+
+
+def dense_regression(batch, K, R, Q):
+    """The L x (q + 1) regression [theta | rhs] of one policy-iteration
+    step, window by window, as ``offpolicy_pi`` documents it."""
+    n = K.shape[1]
+    iu, ju = np.triu_indices(n)
+    Qbar = Q + K.T @ R @ K
+    rows = []
+    for xs, xe, ixx, ixu in zip(batch.x_start, batch.x_end, batch.ixx, batch.ixu):
+        rows.append(np.concatenate([
+            xe[iu] * xe[ju] - xs[iu] * xs[ju],
+            (-2.0 * R @ (ixu.T + K @ ixx)).ravel(),
+            [-np.sum(ixx * Qbar)],
+        ]))
+    return np.array(rows)
+
+
+class TestCompressedRegression:
+    n, m = 3, 2
+
+    def problem(self, rng, batches, src):
+        """The compressed batches, and per cluster its K, R, Q and the
+        triangles of ``rl._regression_triangles``."""
+        n, m, a = self.n, self.m, len(src)
+        K = rng.standard_normal((a, m, n))
+        R = np.stack([random_spd(rng, m) for _ in range(a)])
+        Q = np.stack([random_spd(rng, n) for _ in range(a)])
+        comp = rl._compress(*(np.stack([getattr(b, f) for b in batches])
+                              for f in ("x_start", "x_end", "ixx", "ixu")))
+        Qbar = matkit.symmetrize(Q + K.swapaxes(1, 2) @ R @ K)
+        return K, R, Q, rl._regression_triangles(comp, np.array(src), K, R, Qbar)
+
+    def test_triangles_are_the_dense_r_factors(self, rng):
+        # batch 0 serves three clusters with their own weights and gains
+        q = unknown_count(self.n, self.m)
+        batches = [random_batch(rng, self.n, self.m, 2 * q) for _ in range(2)]
+        src = [0, 1, 0, 0]
+        K, R, Q, Rf = self.problem(rng, batches, src)
+        assert Rf.shape == (len(src), q, q + 1)
+        sol, errors = rl._solve_regressions(Rf)
+        assert errors == [None] * len(src)
+        for j, b in enumerate(src):
+            aug = dense_regression(batches[b], K[j], R[j], Q[j])
+            dense = np.linalg.qr(aug, mode="r")[:q]
+            signs = np.sign(np.diagonal(dense)) * np.sign(np.diagonal(Rf[j]))
+            assert np.linalg.norm(signs[:, None] * Rf[j] - dense) <= 1e-12 * np.linalg.norm(dense)
+            ref = np.linalg.lstsq(aug[:, :-1], aug[:, -1], rcond=None)[0]
+            assert np.linalg.norm(sol[j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_fewest_windows_give_the_dense_r_factor(self, rng):
+        # L = q windows: [Phi | D] has fewer rows than columns
+        q = unknown_count(self.n, self.m)
+        batch = random_batch(rng, self.n, self.m, q)
+        K, R, Q, Rf = self.problem(rng, [batch], [0])
+        aug = dense_regression(batch, K[0], R[0], Q[0])
+        sol, errors = rl._solve_regressions(Rf)
+        ref = np.linalg.solve(aug[:, :-1], aug[:, -1])
+        assert errors == [None]
+        assert np.linalg.norm(sol[0] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_bad_batches_fail_alone(self):
+        problem = scalar_cluster()
+        good = collect_batch(SCALAR_PLANT, problem, [1.0])
+        # phi(x_end) - phi(x_start) = 0: a rank-deficient Phi
+        flat = rl.TrajectoryBatch(good.x_start, good.x_start, good.ixx, good.ixu, good.rank)
+        ixx = good.ixx.copy()
+        ixx[2] = np.nan
+        nan = rl.TrajectoryBatch(good.x_start, good.x_end, ixx, good.ixu, good.rank)
+        solo = offpolicy_pi(good, problem, plant=SCALAR_PLANT)
+        results = rl._lockstep_pi([good, flat, nan, good], [problem] * 4, [SCALAR_PLANT] * 4)
+        assert isinstance(results[1], RegressionSingular)
+        assert isinstance(results[2], np.linalg.LinAlgError)
+        for kept in (results[0], results[3]):
+            np.testing.assert_array_equal(kept[0], solo[0])
+            np.testing.assert_array_equal(kept[1], solo[1])
+            assert len(kept[2]) == len(solo[2])
+
+    @pytest.mark.parametrize("q", [1, 3, 18, 60])
+    def test_back_substitution_matches_solve(self, rng, q):
+        T = np.linalg.qr(rng.standard_normal((4, 2 * q, q)), mode="r")
+        B = rng.standard_normal((4, q, q + 1))
+        X = np.empty_like(B)
+        rl._back_substitute(T, B, X)
+        ref = np.linalg.solve(T, B)
+        for j in range(4):
+            assert np.linalg.norm(X[j] - ref[j]) <= 1e-14 * np.linalg.norm(ref[j])
+            alone = np.empty_like(B[j:j + 1])
+            rl._back_substitute(T[j:j + 1], B[j:j + 1], alone)
+            np.testing.assert_array_equal(alone[0], X[j])
 
 
 class TestHierarchicalSolve:
