@@ -75,10 +75,12 @@ def kleinman_pi(A, B, Q, R, K0):
 def assemble_gain(plan: DecompositionPlan, cluster_gains, n: int, m: int) -> np.ndarray:
     """Reassemble the global gain K = (T' (x) I_m) diag(k_1..k_r) (T (x) I_n)
     from per-cluster gains k_i of size (m N_i) x (n N_i), so diag(k_1..k_r)
-    is never formed. Per cluster size s, the gains of that size are stacked
-    and their rows k_c (T_c (x) I_n), with T_c the cluster's s rows of T,
-    come from one batched product; one ``decomp.lift`` by those rows of T
-    adds the size class's share of K."""
+    is never formed. Any cluster-block operator lifts the same way: cluster
+    plants A_c or Riccati solutions P_c by ``assemble_gain(plan, A_c, n, n)``,
+    input matrices B_c by ``assemble_gain(plan, B_c, m, n)``. Per cluster
+    size s, the gains of that size are stacked and their rows k_c (T_c (x)
+    I_n), with T_c the cluster's s rows of T, come from one batched product;
+    one ``decomp.lift`` by those rows of T adds the size class's share of K."""
     if len(cluster_gains) != plan.r:
         raise DimensionMismatch(f"expected {plan.r} cluster gains, got {len(cluster_gains)}")
     T, N = plan.T, plan.T.shape[1]

@@ -2,7 +2,8 @@
 plant: a Lyapunov/LMI stability test, a small-gain test on the
 heterogeneity mismatch loop, and an H2 performance bound, plus the
 H-infinity / H2 norm machinery they need. The three certificates read one
-``HeteroLift``, the transformed design that ``hetero_lift`` forms once.
+``HeteroLift``, the hierarchical design that ``hetero_lift`` takes from
+``lqr`` once; this module has no design code of its own.
 
 Importing this module loads numpy alone. ``scipy.linalg`` loads on the
 first ``hinf_norm`` (Schur form, triangular solves) or Lyapunov
@@ -19,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import decomp, matkit
+from . import matkit
 from .decomp import DecompositionPlan, LqrSpec
 from .errors import DimensionMismatch, NotHurwitz, PreconditionFailed, SolverDiverged
-from .lqr import evaluate_cost
+from .lqr import assemble_gain, cluster_plants, evaluate_cost, hierarchical_model_based
 
 HINF_AXIS_RTOL = 1e-8
 HINF_MAX_ROUNDS = 30
@@ -133,15 +134,16 @@ class RobustReport:
 
 
 class HeteroLift(NamedTuple):
-    """The transformed design of a heterogeneous plant that every
-    certificate reads: the transformed pair a_hat = T_n' A T_n and
-    b_hat = T_n' B T_m, the heterogeneity mismatches a_tilde = A - a_hat
-    and b_tilde = B - b_hat (both vanish for identical agents), the
-    Riccati solution (p_hat, k) of the transformed pair and its closed
-    loop a_cl = a_hat - b_hat k, which ``solve_are`` found Hurwitz."""
+    """The hierarchical design that every certificate reads, in agent
+    coordinates, with T_n = T (x) I_n and T_m = T (x) I_m: the nominal
+    a_hat = T_n' bdiag_c(T_n A T_n') T_n (the ``cluster_plants`` blocks
+    mapped back; b_hat = T_n' bdiag_c(T_n B T_m') T_m likewise), the
+    heterogeneity mismatches a_tilde = A - a_hat and b_tilde = B - b_hat
+    (both vanish for identical agents), p_hat = T_n' bdiag(P_c) T_n and
+    k = K_hier from the cluster Riccati solves, and the nominal closed
+    loop a_cl = a_hat - b_hat k, Hurwitz because each cluster's is."""
 
     a_hat: np.ndarray
-    b_hat: np.ndarray
     a_tilde: np.ndarray
     b_tilde: np.ndarray
     a_cl: np.ndarray
@@ -150,48 +152,37 @@ class HeteroLift(NamedTuple):
 
 
 def hetero_lift(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec) -> HeteroLift:
-    """Solve the transformed design problem for a heterogeneous plant with
-    the spec's weights. Requires Q positive definite and the pair
-    controllable (``solve_are`` tests the transformed pair, orthogonally
-    similar to the plant's, and returns only a gain whose closed loop
-    a_hat - b_hat k is Hurwitz).
-    """
+    """The design the solvers ship, for a heterogeneous plant with the
+    spec's weights: the gain and cluster solves of
+    ``hierarchical_model_based`` and the plants of ``cluster_plants``, each
+    cluster-block operator mapped to agent coordinates by ``assemble_gain``.
+    Requires Q positive definite, a plan that verifies against the weights
+    (``project_problem``) and controllable cluster pairs (``solve_are``);
+    each raises ``PreconditionFailed`` otherwise."""
     if float(np.min(np.linalg.eigvalsh(matkit.symmetrize(spec.G1)))) <= 0:
         raise PreconditionFailed("Q must be positive definite (G1 must be PD)")
-    a_hat = decomp.lift(plan.T.T, model.n, decomp.lift(plan.T.T, model.n, model.A.T).T)
-    b_hat = decomp.lift(plan.T.T, model.n, decomp.lift(plan.T.T, model.m, model.B.T).T)
-    p_hat, k = matkit.solve_are(a_hat, b_hat, spec.Q, spec.R)
-    a_cl = a_hat - b_hat @ k
-    return HeteroLift(a_hat, b_hat, model.A - a_hat, model.B - b_hat, a_cl, p_hat, k)
+    k, solved = hierarchical_model_based(spec, plan, model)
+    plants = cluster_plants(model, plan, spec)
+    n, m = spec.n, spec.m
+    a_hat = assemble_gain(plan, [c.A for c in plants], n, n)
+    b_hat = assemble_gain(plan, [c.B for c in plants], m, n)
+    p_hat = assemble_gain(plan, [P for P, _ in solved], n, n)
+    return HeteroLift(a_hat, model.A - a_hat, model.B - b_hat, a_hat - b_hat @ k, p_hat, k)
 
 
-def lmi_stability_check(lift: HeteroLift, Q, R):
-    """Sufficient LMI stability test for the heterogeneous closed loop:
+def lmi_stability_check(model: HeteroModel, lift: HeteroLift):
+    """Lyapunov/LMI stability test of the true closed loop A - B k at the
+    lift's gain: with P = p_hat, positive definite,
 
-        P At + At' P - P Bt R^-1 Bh' P - P Bh R^-1 Bt' P - Q
-            - P Bh R^-1 Bh' P  <  0
+        (A - B k)' P + P (A - B k)  <  0
 
-    with P the lift's Riccati solution, At/Bt its heterogeneity
-    mismatches and Bh its transformed input matrix. The left side is
-    exactly the derivative matrix of the Lyapunov candidate x' P x along
-    the true closed loop (the Riccati identity supplies the last two
-    terms), so a pass certifies stability with no false positives;
-    failures are inconclusive. Returns (max eigenvalue of the symmetrized
-    left side, pass flag).
+    is the derivative matrix of x' P x along that loop, so a pass
+    certifies stability for any P > 0, with no false positives and no
+    appeal to the Riccati identity; failures are inconclusive. Returns
+    (max eigenvalue of the symmetrized left side, pass flag).
     """
-    P, a_tilde, b_tilde, b_hat = lift.p_hat, lift.a_tilde, lift.b_tilde, lift.b_hat
-
-    def quad(left, right):
-        return P @ left @ np.linalg.solve(R, right.T @ P)
-
-    M = (
-        P @ a_tilde
-        + a_tilde.T @ P
-        - quad(b_tilde, b_hat)
-        - quad(b_hat, b_tilde)
-        - Q
-        - quad(b_hat, b_hat)
-    )
+    a_cl = model.A - model.B @ lift.k
+    M = a_cl.T @ lift.p_hat + lift.p_hat @ a_cl
     max_eig = float(np.max(np.linalg.eigvalsh(matkit.symmetrize(M))))
     return max_eig, max_eig < 0
 
@@ -424,11 +415,14 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
                   x0, gain=None) -> RobustReport:
     """Full certification report.
 
-    The certificates are evaluated at the transformed-Riccati gain (their
-    algebra requires it); a deployed ``gain``, when supplied, is compared
-    against it and used for the deployed-loop diagnostics. Checks whose
-    preconditions fail are reported as None verdicts rather than errors;
-    a gain or x0 that does not fit the design raises ``DimensionMismatch``.
+    The certificates are evaluated at the hierarchical design's gain
+    K_hier (``hetero_lift``); a deployed ``gain``, when supplied, is
+    compared against it, so ``gain_gap`` = ||gain - K_hier||_F is the
+    learning error, and is used for the deployed-loop diagnostics. Checks
+    whose preconditions fail are reported as None verdicts rather than
+    errors; a plan that does not verify against the spec's weights raises
+    ``PreconditionFailed``, and a gain or x0 that does not fit the design
+    ``DimensionMismatch``.
     """
     lift = hetero_lift(model, plan, spec)
     deployed = lift.k if gain is None else matkit.as_matrix(gain, "gain")
@@ -438,7 +432,7 @@ def robust_report(model: HeteroModel, plan: DecompositionPlan, spec: LqrSpec,
         raise DimensionMismatch(f"x0 has size {np.size(x0)}, expected {lift.a_hat.shape[0]}")
     gain_gap = float(np.linalg.norm(deployed - lift.k))
 
-    lmi_max, lmi_pass = lmi_stability_check(lift, spec.Q, spec.R)
+    lmi_max, lmi_pass = lmi_stability_check(model, lift)
     verdicts: dict = {"lmi": bool(lmi_pass)}
     lhs = rhs = None
     try:

@@ -275,7 +275,7 @@ def test_criterion_6_robustness_soundness():
             continue
         hetero_draws += 1
         stable = matkit.spectral_abscissa(model.A - model.B @ lift.k) < 0
-        _, lmi_ok = lmi_stability_check(lift, spec.Q, spec.R)
+        _, lmi_ok = lmi_stability_check(model, lift)
         if lmi_ok:
             lmi_pass += 1
             if not stable:

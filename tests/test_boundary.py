@@ -17,9 +17,12 @@ the benchmark's global baseline included, goes through
 ``rl.hierarchical_solve``.
 
 One lift operator: T acts on the agent axis through ``decomp.lift`` alone,
-so no module of ``src/hlqr`` forms the dense T (x) I_d (``kron_lift``, the
-reference tests compare ``lift`` against), and ``lqr.assemble_gain`` forms
-no block-diagonal diag(k_1..k_r).
+which ``lqr`` calls, so no module of ``src/hlqr`` forms the dense T (x) I_d
+(``kron_lift``, the reference tests compare ``lift`` against), and
+``lqr.assemble_gain`` forms no block-diagonal diag(k_1..k_r).
+
+One design path: ``hlqr.robust`` certifies the design of
+``lqr.hierarchical_model_based`` and makes no Riccati solve of its own.
 
 The public API: every name in ``hlqr.__all__`` resolves, and every function
 the benchmark's tracer wraps by name (``TRACED`` in ``perfbench/spans.py``)
@@ -136,8 +139,14 @@ def test_no_dense_lift_in_package():
     calls = package_calls({"kron_lift", "lift"})
     assert {module for module, name in calls if name == "kron_lift"} == set()
     assert ("lqr", "block_diag") not in package_calls({"block_diag"})
-    # the walk finds the lift calls of the consumers
-    assert {("lqr", "lift"), ("robust", "lift")} <= calls
+    # the walk finds the lift calls of the consumer
+    assert ("lqr", "lift") in calls
+
+
+def test_one_design_path():
+    calls = package_calls({"solve_are"})
+    assert ("robust", "solve_are") not in calls
+    assert ("lqr", "solve_are") in calls  # the walk finds the design's solve
 
 
 def traced_names() -> dict:

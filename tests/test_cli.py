@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hlqr import cli, matkit
-from hlqr.bench import build_example, BenchConfig
+from hlqr import cli, decomp, matkit
+from hlqr.bench import build_example, gen_graph, BenchConfig
 from hlqr.errors import (
     ClusterFailure,
     ExcitationDeficient,
@@ -14,6 +15,7 @@ from hlqr.errors import (
     RegressionSingular,
     SolverDiverged,
 )
+from hlqr.lqr import hierarchical_model_based
 from conftest import run_fresh_python, save_matrix_csv, save_matrix_json
 
 
@@ -36,6 +38,13 @@ def toy_files(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(spec_obj))
     save_matrix_csv(spec.G1, tmp_path / "g1.csv")
     save_matrix_json(spec.G2, tmp_path / "g2.json")
+    save_model_file(model, spec, tmp_path / "model.json")
+    save_matrix_csv(x0.reshape(-1, 1), tmp_path / "x0.csv")
+    return tmp_path, spec, model, x0
+
+
+def save_model_file(model, spec, path) -> None:
+    """The model file of ``hlqr robust``: the agent blocks and the weights."""
     model_obj = {
         "agents": [
             {"A": matkit.matrix_to_json(A), "B": matkit.matrix_to_json(B)}
@@ -48,9 +57,7 @@ def toy_files(tmp_path):
             "R0": matkit.matrix_to_json(spec.R0),
         },
     }
-    (tmp_path / "model.json").write_text(json.dumps(model_obj))
-    save_matrix_csv(x0.reshape(-1, 1), tmp_path / "x0.csv")
-    return tmp_path, spec, model, x0
+    Path(path).write_text(json.dumps(model_obj))
 
 
 def test_decompose_solve_roundtrip(toy_files):
@@ -171,6 +178,28 @@ def test_robust_command(toy_files):
     report = json.loads((tmp / "report.json").read_text())
     assert report["verdicts"]["lmi"] is True
     assert report["verdicts"]["deployed_stable"] is True
+
+
+def test_robust_rejects_unverified_plan_with_exit_2(tmp_path, capsys):
+    # the plan of another graph's weights: hlqr solve refuses it, and so
+    # must the certification of a gain on it
+    spec, model, x0 = build_example(BenchConfig(N=6, seed=11, hetero=0.5))
+    plan = decomp.construct_T(0.5 * np.eye(6) + gen_graph(6, 3), np.eye(6))
+    assert not decomp.verify_plan(plan, spec.G1, spec.G2).passed
+    decomp.save_plan(plan, tmp_path / "plan.json")
+    save_model_file(model, spec, tmp_path / "model.json")
+    K, _ = hierarchical_model_based(spec, decomp.construct_T(spec.G1, spec.G2), model)
+    (tmp_path / "gain.json").write_text(json.dumps({"K": matkit.matrix_to_json(K)}))
+    save_matrix_csv(x0.reshape(-1, 1), tmp_path / "x0.csv")
+    capsys.readouterr()
+    rc = cli.main([
+        "robust", "--plan", str(tmp_path / "plan.json"),
+        "--model", str(tmp_path / "model.json"), "--gain", str(tmp_path / "gain.json"),
+        "--x0", str(tmp_path / "x0.csv"), "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    assert "does not verify" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_bench_command(tmp_path):
